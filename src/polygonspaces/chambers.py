@@ -12,10 +12,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import Collection, NamedTuple
+
+import numpy as np
 
 from . import exactlp
 from .errors import (
+    CertificateFailure,
     DimensionMismatch,
     MalformedCandidate,
     NotGeneric,
@@ -27,37 +30,12 @@ from .lengths import (
     check_enumeration_width,
     indices_of_mask,
     mask_key,
-    subset_sums,
+    reject_median,
+    top_excess,
 )
 
 CENSUS_MIN_N = 3
 CENSUS_MAX_N = 8
-
-
-def _immediate_predecessors(mask: int) -> Iterator[int]:
-    """One deletion or one slide-down of an element; generates the order."""
-    m = mask
-    while m:
-        low = m & -m
-        yield mask ^ low
-        below = low >> 1
-        if below and not mask & below:
-            yield (mask ^ low) | below
-        m ^= low
-
-
-def _immediate_successors(mask: int, width: int) -> Iterator[int]:
-    for i in range(width):
-        bit = 1 << i
-        if not mask & bit:
-            yield mask | bit
-    m = mask
-    while m:
-        low = m & -m
-        up = low << 1
-        if up < (1 << width) and not mask & up:
-            yield (mask ^ low) | up
-        m ^= low
 
 
 @dataclass(frozen=True)
@@ -73,17 +51,23 @@ class ChamberSignature:
         width = self.n - 1
         full = (1 << width) - 1
         fam = self.short_family
+        in_range = not fam or 0 <= min(fam) <= max(fam) <= full
+        inside = fam if in_range else [m for m in fam if 0 <= m <= full]
+        member = _membership(inside, width)
+        gaps = member & ~_closed_below(member)
+        if in_range and not gaps.any():
+            return
+        # name the first offender in iteration order, with its first gap
+        gaps = gaps.tolist()
         for m in fam:
-            if m < 0 or m & ~full:
+            if not 0 <= m <= full:
+                raise MalformedCandidate(f"mask {m} is not a subset of 1..{width}")
+            if gaps[m]:
                 raise MalformedCandidate(
-                    f"mask {m} is not a subset of 1..{width}"
+                    f"family not downward closed: {indices_of_mask(m)} is a "
+                    f"member but {indices_of_mask(_missing_predecessor(m, member))} "
+                    "is not"
                 )
-            for p in _immediate_predecessors(m):
-                if p not in fam:
-                    raise MalformedCandidate(
-                        f"family not downward closed: {indices_of_mask(m)} is a "
-                        f"member but {indices_of_mask(p)} is not"
-                    )
 
     @property
     def is_empty_space(self) -> bool:
@@ -127,35 +111,20 @@ class ChamberComparison(NamedTuple):
 def chamber_signature(lv: LengthVector, max_n: int | None = None) -> ChamberSignature:
     if not lv.is_ordered:
         raise NotOrdered(f"{lv} is not nondecreasing")
-    check_enumeration_width(lv.n, max_n)
-    total = lv.total
-    ln = lv.entries[-1]
-    members = []
-    for m, s in enumerate(subset_sums(lv.entries[:-1])):
-        doubled = 2 * (s + ln)
-        if doubled == total:
-            raise NotGeneric(
-                f"{lv} has the median subset {indices_of_mask(m | 1 << (lv.n - 1))}"
-            )
-        if doubled < total:
-            members.append(m)
-    return ChamberSignature(lv.n, frozenset(members))
+    exc = top_excess(lv, max_n)
+    reject_median(lv, exc)
+    return ChamberSignature(lv.n, frozenset(np.flatnonzero(exc < 0).tolist()))
 
 
 def stratum_signature(lv: LengthVector, max_n: int | None = None) -> StratumSignature:
     if not lv.is_ordered:
         raise NotOrdered(f"{lv} is not nondecreasing")
-    check_enumeration_width(lv.n, max_n)
-    total = lv.total
-    ln = lv.entries[-1]
-    short, median = [], []
-    for m, s in enumerate(subset_sums(lv.entries[:-1])):
-        doubled = 2 * (s + ln)
-        if doubled < total:
-            short.append(m)
-        elif doubled == total:
-            median.append(m)
-    return StratumSignature(lv.n, frozenset(short), frozenset(median))
+    exc = top_excess(lv, max_n)
+    return StratumSignature(
+        lv.n,
+        frozenset(np.flatnonzero(exc < 0).tolist()),
+        frozenset(np.flatnonzero(exc == 0).tolist()),
+    )
 
 
 def _compare(a: ChamberSignature, b: ChamberSignature) -> ChamberComparison:
@@ -199,16 +168,49 @@ def same_stratum(
 # realization and census
 
 
-def _maximal_members(fam: frozenset[int], width: int) -> list[int]:
-    return [m for m in fam if not any(s in fam for s in _immediate_successors(m, width))]
+def _membership(fam: Collection[int], width: int) -> np.ndarray:
+    """Boolean array over the masks of 1..width: True on the members."""
+    member = np.zeros(1 << width, dtype=bool)
+    member[np.fromiter(fam, np.int64, len(fam))] = True
+    return member
 
 
-def _minimal_nonmembers(fam: frozenset[int], width: int) -> list[int]:
-    return [
-        m
-        for m in range(1 << width)
-        if m not in fam and all(p in fam for p in _immediate_predecessors(m))
-    ]
+def _closed_below(member: np.ndarray) -> np.ndarray:
+    """True at m when every immediate predecessor of m is a member.
+
+    The immediate predecessors delete one index, or slide one index down
+    into a free slot just below it; they generate the dominance order.
+    """
+    ok = np.ones_like(member)
+    width = member.size.bit_length() - 1
+    for i in range(width):
+        halves, quarters = (-1, 2, 1 << i), (-1, 2, 2, 1 << i)
+        # deleting index i+1 needs the lower of each pair of halves; sliding
+        # index i+2 down to i+1 needs quarter (0, 1) under quarter (1, 0)
+        ok.reshape(halves)[:, 1] &= member.reshape(halves)[:, 0]
+        if i + 1 < width:
+            ok.reshape(quarters)[:, 1, 0] &= member.reshape(quarters)[:, 0, 1]
+    return ok
+
+
+def _missing_predecessor(m: int, member: np.ndarray) -> int:
+    """First absent immediate predecessor of m, indices scanned upward."""
+    bits = [1 << i for i in range(m.bit_length()) if m >> i & 1]
+    # m ^ b | b >> 1 is the slide, or the deletion again when there is none
+    return next(p for b in bits for p in (m ^ b, m ^ b | b >> 1) if not member[p])
+
+
+def _minimal_nonmembers(member: np.ndarray) -> list[int]:
+    """Non-members whose immediate predecessors are all members, ascending."""
+    return np.flatnonzero(~member & _closed_below(member)).tolist()
+
+
+def _maximal_members(fam: frozenset[int], member: np.ndarray) -> list[int]:
+    """Members with no member immediately above, in the family's own order:
+    complementing reverses the order, hence the reversed complement."""
+    full = member.size - 1
+    top = {full ^ m for m in _minimal_nonmembers(~member[::-1])}
+    return [m for m in fam if m in top]
 
 
 def realize_signature(candidate: ChamberSignature) -> LengthVector | None:
@@ -225,6 +227,7 @@ def realize_signature(candidate: ChamberSignature) -> LengthVector | None:
     check_enumeration_width(n)
     width = n - 1
     fam = candidate.short_family
+    member = _membership(fam, width)
     half = Fraction(1, 2)
     zeros = [0] * (n + 1)
 
@@ -236,29 +239,25 @@ def realize_signature(candidate: ChamberSignature) -> LengthVector | None:
         row = zeros[:]
         row[i], row[i + 1] = -1, 1
         cons.append(exactlp.constraint(row, exactlp.GREATER_EQUAL, 0))
-    for m in _maximal_members(fam, width):
-        row = zeros[:]
-        for i in range(width):
-            if m >> i & 1:
-                row[i] = 1
-        row[n - 1] = 1
-        row[n] = 1
-        cons.append(exactlp.constraint(row, exactlp.LESS_EQUAL, half))
-    for m in _minimal_nonmembers(fam, width):
-        row = zeros[:]
-        for i in range(width):
-            if m >> i & 1:
-                row[i] = 1
-        row[n - 1] = 1
-        row[n] = -1
-        cons.append(exactlp.constraint(row, exactlp.GREATER_EQUAL, half))
+
+    def row_of(m: int, slack: int) -> list[int]:
+        """l_J + l_n plus or minus the slack, for the subset J with mask m."""
+        return [m >> i & 1 for i in range(width)] + [1, slack]
+
+    for m in _maximal_members(fam, member):
+        cons.append(exactlp.constraint(row_of(m, 1), exactlp.LESS_EQUAL, half))
+    for m in _minimal_nonmembers(member):
+        cons.append(exactlp.constraint(row_of(m, -1), exactlp.GREATER_EQUAL, half))
 
     result = exactlp.maximize([0] * n + [1], cons)
     if result.status != exactlp.OPTIMAL or result.objective <= 0:
         return None
     vec = LengthVector.from_rationals(result.solution[:n])
     # the LP certifies every strict inequality, so the round trip is exact
-    assert chamber_signature(vec) == candidate
+    if chamber_signature(vec) != candidate:
+        raise CertificateFailure(
+            f"the LP solution {vec} does not realize the candidate signature"
+        )
     return vec
 
 
@@ -303,15 +302,17 @@ def enumerate_chambers(n: int) -> CensusResult:
     width = n - 1
     start = ChamberSignature(n, frozenset())
     first = realize_signature(start)
-    assert first is not None  # the empty-space chamber always exists
+    if first is None:
+        raise CertificateFailure("the LP found no vector with an empty polygon space")
     found: dict[ChamberSignature, LengthVector] = {start: first}
     infeasible: set[ChamberSignature] = set()
     frontier = [start]
     while frontier:
         sig = frontier.pop()
         fam = sig.short_family
-        flips = [fam - {m} for m in _maximal_members(fam, width)]
-        flips += [fam | {m} for m in _minimal_nonmembers(fam, width)]
+        member = _membership(fam, width)
+        flips = [fam - {m} for m in _maximal_members(fam, member)]
+        flips += [fam | {m} for m in _minimal_nonmembers(member)]
         for new_fam in flips:
             cand = ChamberSignature(n, frozenset(new_fam))
             if cand in found or cand in infeasible:

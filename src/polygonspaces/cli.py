@@ -1,7 +1,7 @@
 """Command-line surface: betti, ring, compare, census, verify, classify-file.
 
 Exit codes: 0 success, 1 input error, 2 mathematically empty result
-(empty space), 3 internal limits (search caps, census range).
+(empty space), 3 internal limits and failures (caps, solver, certificates).
 """
 
 from __future__ import annotations
@@ -21,15 +21,13 @@ from .cohomology import (
     ring_presentation,
 )
 from .errors import (
-    ConvergenceFailure,
     DimensionMismatch,
     EntryNotPositive,
     MalformedCandidate,
     MalformedNumber,
     NotGeneric,
     NotOrdered,
-    OutOfRange,
-    SearchTooLarge,
+    PolygonSpacesError,
     TooFewEntries,
     UnsupportedDimension,
 )
@@ -58,7 +56,10 @@ _INPUT_ERRORS = (
     MalformedCandidate,
     OSError,
 )
-_LIMIT_ERRORS = (OutOfRange, SearchTooLarge, ConvergenceFailure)
+#: every other typed error: caps and census range (OutOfRange,
+#: SearchTooLarge), solver and float failures (ConvergenceFailure,
+#: DegenerateConfiguration), failed exact certificates (CertificateFailure)
+_LIMIT_ERRORS = (PolygonSpacesError,)
 
 
 class _UsageError(Exception):
@@ -318,18 +319,18 @@ def _cmd_classify_file(args: argparse.Namespace, out: TextIO) -> int:
 # parser and dispatch
 
 
-def _add_common(sub: argparse.ArgumentParser, need_d: bool) -> None:
-    if need_d:
-        sub.add_argument("--d", type=int, required=True, help="ambient dimension, >= 3")
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
-    sub.add_argument("--seed", type=int, default=0, help="PRNG seed for realization")
-    sub.add_argument(
-        "--max-n",
-        dest="max_n",
-        type=int,
-        default=None,
-        help="override the subset-enumeration cap (default 24)",
-    )
+_FLAGS = {
+    "--d": dict(type=int, required=True, help="ambient dimension, >= 3"),
+    "--json": dict(action="store_true", help="machine-readable output"),
+    "--seed": dict(type=int, default=0, help="PRNG seed for realization"),
+    "--max-n": dict(type=int, help="override the subset-enumeration cap (default 24)"),
+}
+
+
+def _add_flags(sub: argparse.ArgumentParser, *names: str) -> None:
+    """Add the shared flags a subcommand reads, and no others."""
+    for name in names:
+        sub.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> _Parser:
@@ -339,33 +340,33 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("betti", help="Z2 Betti table of one vector")
     p.add_argument("--l", required=True, help="comma/space separated side lengths")
-    _add_common(p, need_d=True)
+    _add_flags(p, "--d", "--json", "--max-n")
     p.set_defaults(handler=_cmd_betti)
 
     p = subs.add_parser("ring", help="cohomology ring presentation")
     p.add_argument("--l", required=True)
-    _add_common(p, need_d=True)
+    _add_flags(p, "--d", "--json", "--max-n")
     p.set_defaults(handler=_cmd_ring)
 
     p = subs.add_parser("compare", help="diffeomorphism verdict for a pair")
     p.add_argument("--l", required=True)
     p.add_argument("--l2", required=True)
-    _add_common(p, need_d=True)
+    _add_flags(p, "--d", "--json", "--max-n")
     p.set_defaults(handler=_cmd_compare)
 
     p = subs.add_parser("census", help="all chambers for small n")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p, need_d=False)
+    _add_flags(p, "--json")
     p.set_defaults(handler=_cmd_census)
 
     p = subs.add_parser("verify", help="critical data, realization, rank test")
     p.add_argument("--l", required=True)
-    _add_common(p, need_d=True)
+    _add_flags(p, "--d", "--json", "--seed", "--max-n")
     p.set_defaults(handler=_cmd_verify)
 
     p = subs.add_parser("classify-file", help="pairwise verdicts for a vector file")
     p.add_argument("--file", required=True, help="one vector per line, # comments")
-    _add_common(p, need_d=True)
+    _add_flags(p, "--d", "--json", "--max-n")
     p.set_defaults(handler=_cmd_classify_file)
 
     return parser

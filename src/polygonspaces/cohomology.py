@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .chambers import chamber_signature, same_chamber_up_to_permutation
 from .errors import (
     DimensionMismatch,
@@ -20,12 +22,12 @@ from .errors import (
 from .lengths import (
     Kind,
     LengthVector,
-    check_enumeration_width,
     classify_subset,
     indices_of_mask,
     mask_from_indices,
     mask_key,
-    subset_sums,
+    subset_sizes,
+    top_excess,
 )
 
 MAX_BIJECTION_VARIABLES = 12
@@ -42,18 +44,11 @@ def short_median_counts(
     """a_k / b_k: short / median subsets containing n with k+1 elements."""
     if not lv.is_ordered:
         raise NotOrdered(f"{lv} is not nondecreasing")
-    check_enumeration_width(lv.n, max_n)
-    n, total = lv.n, lv.total
-    ln = lv.entries[-1]
-    a = [0] * n
-    b = [0] * n
-    for m, s in enumerate(subset_sums(lv.entries[:-1])):
-        doubled = 2 * (s + ln)
-        if doubled < total:
-            a[m.bit_count()] += 1
-        elif doubled == total:
-            b[m.bit_count()] += 1
-    return tuple(a), tuple(b)
+    exc = top_excess(lv, max_n)
+    sizes = subset_sizes(lv.n - 1)
+    a = np.bincount(sizes[exc < 0], minlength=lv.n)
+    b = np.bincount(sizes[exc == 0], minlength=lv.n)
+    return tuple(a.tolist()), tuple(b.tolist())
 
 
 @dataclass(frozen=True)
@@ -172,29 +167,16 @@ def ring_presentation(lv: LengthVector, d: int, max_n: int | None = None) -> Rin
     if not lv.is_ordered:
         raise NotOrdered(f"{lv} is not nondecreasing")
     _require_dimension(d)
-    check_enumeration_width(lv.n, max_n)
-    n, total = lv.n, lv.total
-    ln = lv.entries[-1]
-    long_fam = {
-        m
-        for m, s in enumerate(subset_sums(lv.entries[:-1]))
-        if 2 * (s + ln) > total
-    }
-    minimal = []
-    for m in long_fam:
-        rest = m
-        is_min = True
-        while rest:
-            low = rest & -rest
-            if m ^ low in long_fam:
-                is_min = False
-                break
-            rest ^= low
-        if is_min:
-            minimal.append(m)
-    minimal.sort(key=mask_key)
-    pruned = tuple(j for j in range(1, n) if 1 << (j - 1) in long_fam)
-    return RingPresentation(n, d, pruned, tuple(minimal))
+    long = top_excess(lv, max_n) > 0
+    # minimal: long, and long after no single deletion
+    minimal = long.copy()
+    for i in range(lv.n - 1):
+        step = 1 << i
+        minimal.reshape(-1, 2, step)[:, 1] &= ~long.reshape(-1, 2, step)[:, 0]
+    singletons = long[1 << np.arange(lv.n - 1)].tolist()
+    pruned = tuple(j for j, is_long in enumerate(singletons, 1) if is_long)
+    generators = sorted(np.flatnonzero(minimal).tolist(), key=mask_key)
+    return RingPresentation(lv.n, d, pruned, tuple(generators))
 
 
 def quotient_basis_dimensions(
@@ -209,17 +191,11 @@ def quotient_basis_dimensions(
     if not lv.is_ordered:
         raise NotOrdered(f"{lv} is not nondecreasing")
     _require_dimension(d)
-    check_enumeration_width(lv.n, max_n)
-    total = lv.total
-    ln = lv.entries[-1]
-    counts: dict[int, int] = {}
-    for m, s in enumerate(subset_sums(lv.entries[:-1])):
-        if 2 * (s + ln) <= total:
-            # S = J and S = J union {n} both survive
-            k = m.bit_count()
-            counts[k] = counts.get(k, 0) + 1
-            counts[k + 1] = counts.get(k + 1, 0) + 1
-    return {k: v for k, v in sorted(counts.items()) if v}
+    exc = top_excess(lv, max_n)
+    # S = J and S = J union {n} both survive
+    by_size = np.bincount(subset_sizes(lv.n - 1)[exc <= 0], minlength=lv.n).tolist()
+    dims = [a + b for a, b in zip(by_size + [0], [0] + by_size)]
+    return {k: v for k, v in enumerate(dims) if v}
 
 
 def rings_isomorphic_bruteforce(

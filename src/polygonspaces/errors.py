@@ -57,6 +57,10 @@ class SubsetNotLong(PolygonSpacesError):
     pass
 
 
+class CertificateFailure(PolygonSpacesError):
+    """An exact certificate did not check out: a fault in this package."""
+
+
 class ConvergenceFailure(PolygonSpacesError):
     def __init__(self, message: str, best_residual: float | None = None):
         super().__init__(message)

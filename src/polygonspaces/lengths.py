@@ -8,6 +8,7 @@ no floating point is used anywhere in this module.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import (
     EntryNotPositive,
     MalformedNumber,
+    NotGeneric,
     NotOrdered,
     OutOfRange,
     TooFewEntries,
@@ -72,26 +74,32 @@ def mask_key(mask: int) -> tuple[int, ...]:
     return indices_of_mask(mask)
 
 
-def subset_sums(entries: Sequence[int]) -> list[int]:
+def _doubling(steps: Sequence[int], dtype) -> np.ndarray:
+    """table[mask] = sum of the steps whose bits are set in mask."""
+    table = np.zeros(1 << len(steps), dtype=dtype)
+    for i, e in enumerate(steps):
+        table[1 << i : 2 << i] = table[: 1 << i] + e
+    return table
+
+
+def subset_sums(entries: Sequence[int], dtype=None) -> np.ndarray:
     """Sums over all subsets of ``entries``, indexed by bitmask.
 
     Cost and memory are O(2^len(entries)); callers guard the width.  The
-    doubling table runs in int64 when the total provably fits, falling
-    back to exact big ints otherwise.
+    default dtype is int64 when twice the total fits, and ``object``
+    (exact Python ints) otherwise.
     """
-    k = len(entries)
-    total = sum(entries)
-    if 2 * total < 2**63:
-        table = np.zeros(1 << k, dtype=np.int64)
-        for i, e in enumerate(entries):
-            step = 1 << i
-            table[step : step << 1] = table[:step] + e
-        return table.tolist()
-    sums = [0] * (1 << k)
-    for mask in range(1, 1 << k):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + entries[low.bit_length() - 1]
-    return sums
+    if dtype is None:
+        dtype = np.int64 if 2 * sum(entries) < 2**63 else object
+    return _doubling(entries, dtype)
+
+
+@functools.lru_cache(maxsize=1)  # batch commands scan one width over and over
+def subset_sizes(width: int) -> np.ndarray:
+    """Read-only popcount table: entry ``mask`` is the size of the subset."""
+    table = _doubling((1,) * width, np.int8)
+    table.setflags(write=False)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +218,36 @@ def classify_subset(lv: LengthVector, mask: int) -> SubsetClass:
     return SubsetClass(Kind.MEDIAN, e)
 
 
+def top_excess(lv: LengthVector, max_n: int | None = None) -> np.ndarray:
+    """Excess 2(l_J + l_n) - L of J union {n} for every J inside {1..n-1}.
+
+    Indexed by the mask of J.  The one subset scan everything else is
+    built on: int64 when 2L < 2^63, so that no intermediate can wrap, and
+    exact Python ints (dtype ``object``) otherwise.
+    """
+    check_enumeration_width(lv.n, max_n)
+    total = lv.total
+    sums = subset_sums(lv.entries[:-1], np.int64 if 2 * total < 2**63 else object)
+    return 2 * (sums + lv.entries[-1]) - total
+
+
+def reject_median(lv: LengthVector, exc: np.ndarray) -> None:
+    """Raise NotGeneric naming the smallest median subset containing n."""
+    medians = np.flatnonzero(exc == 0)
+    if medians.size:
+        mask = int(medians[0]) | 1 << (lv.n - 1)
+        raise NotGeneric(f"{lv} has the median subset {indices_of_mask(mask)}")
+
+
 def is_generic(lv: LengthVector, max_n: int | None = None) -> bool:
     """True when no subset sums to exactly half the perimeter.
 
     Only the 2^(n-1) subsets containing n are scanned; a subset is median
     iff its complement is.
     """
-    total = lv.total
-    if total % 2:  # an odd integer total cannot split in half
+    if lv.total % 2:  # an odd integer total cannot split in half
         return True
-    check_enumeration_width(lv.n, max_n)
-    half = total // 2
-    ln = lv.entries[-1]
-    return all(s + ln != half for s in subset_sums(lv.entries[:-1]))
+    return bool(np.all(top_excess(lv, max_n) != 0))
 
 
 def long_subsets_containing_n(
@@ -231,10 +256,4 @@ def long_subsets_containing_n(
     """Yield every long subset containing index n, in ascending mask order."""
     if not lv.is_ordered:
         raise NotOrdered("the long-subset stream requires an ordered vector")
-    check_enumeration_width(lv.n, max_n)
-    total = lv.total
-    ln = lv.entries[-1]
-    hi = 1 << (lv.n - 1)
-    for m, s in enumerate(subset_sums(lv.entries[:-1])):
-        if 2 * (s + ln) > total:
-            yield m | hi
+    yield from (np.flatnonzero(top_excess(lv, max_n) > 0) | 1 << (lv.n - 1)).tolist()

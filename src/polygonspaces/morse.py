@@ -20,18 +20,18 @@ from .errors import (
     ConvergenceFailure,
     DegenerateConfiguration,
     NonUnitInput,
-    NotGeneric,
     SubsetNotLong,
     UnsupportedDimension,
 )
 from .lengths import (
     LengthVector,
-    check_enumeration_width,
     complement_mask,
     excess,
     indices_of_mask,
     mask_key,
-    subset_sums,
+    reject_median,
+    subset_sizes,
+    top_excess,
 )
 
 UNIT_NORM_TOL = 1e-12
@@ -64,6 +64,14 @@ class EmptySpaceCertificate:
     min_residual: int  # exact minimum of |sum l_j u_j| over all directions
 
 
+def _as_floats(lv: LengthVector) -> tuple[np.ndarray, float]:
+    """Side lengths and perimeter as floats, divided by 2^max(0, bits - 500)
+    for the largest entry's bit length: entries below 2^500 cast unchanged,
+    and squared norms of larger ones stay finite, measured in that scale."""
+    scale = 1 << max(0, max(lv.entries).bit_length() - 500)
+    return np.array([e / scale for e in lv.entries]), lv.total / scale
+
+
 def _check_units(u: np.ndarray) -> None:
     norms = np.linalg.norm(u, axis=1)
     if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
@@ -76,7 +84,7 @@ def energy(lv: LengthVector, config: PolygonConfiguration) -> float:
     if u.shape[0] != lv.n:
         raise ValueError(f"expected {lv.n} direction rows, got {u.shape[0]}")
     _check_units(u)
-    s = np.asarray(lv.entries, dtype=float) @ u
+    s = _as_floats(lv)[0] @ u
     return -float(s @ s)
 
 
@@ -94,18 +102,19 @@ def find_polygon(
     Each step replaces one direction by the exact minimizer against the
     rest, so the residual never increases; random restarts escape the
     collinear saddles.  When the largest side is long on its own the
-    space is empty and the exact deficit is returned instead.
+    space is empty and the exact deficit is returned instead.  Entries of
+    2^500 or more are rescaled first, see ``_as_floats``.
     """
     if d < 2:
         raise UnsupportedDimension(f"directions need d >= 2, got {d}")
     n = lv.n
     top = max(range(n), key=lambda i: lv.entries[i])
-    top_excess = excess(lv, 1 << top)
-    if top_excess > 0:
-        return EmptySpaceCertificate(witness=1 << top, min_residual=top_excess)
+    deficit = excess(lv, 1 << top)
+    if deficit > 0:
+        return EmptySpaceCertificate(witness=1 << top, min_residual=deficit)
 
-    lengths = np.asarray(lv.entries, dtype=float)
-    target = tol * float(lv.total)
+    lengths, perimeter = _as_floats(lv)
+    target = tol * perimeter
     rng = np.random.default_rng(seed)
     best = math.inf
     total_sweeps = 0
@@ -186,9 +195,10 @@ def hessian_matrix(lv: LengthVector, subset: int) -> HessianMatrix:
 def _integer_inertia(matrix: list[list[int]]) -> tuple[int, int, int]:
     """Sylvester inertia of a symmetric integer matrix by congruence.
 
-    After eliminating with pivot p the complement form is p(p*M - cc^T);
-    dividing the remainder by |p| keeps entries integral and, being a
-    positive rescale, leaves the inertia untouched.
+    Eliminating pivot p stores sign(p) * (p*M - cc^T): the Schur complement
+    M - cc^T/p times |p|, a positive rescale that keeps both the inertia and
+    integral entries.  Nothing is divided back out, so entry bit lengths
+    roughly double at every elimination step.
     """
     a = [row[:] for row in matrix]
     active = list(range(len(matrix)))
@@ -270,24 +280,18 @@ def critical_data(
     """
     if d < 2:
         raise UnsupportedDimension(f"directions need d >= 2, got {d}")
-    check_enumeration_width(lv.n, max_n)
-    n, total = lv.n, lv.total
-    ln = lv.entries[-1]
+    exc = top_excess(lv, max_n)
+    reject_median(lv, exc)
+    n = lv.n
     hi = 1 << (n - 1)
     records = []
-    for m, s in enumerate(subset_sums(lv.entries[:-1])):
-        exc = 2 * (s + ln) - total
-        if exc == 0:
-            raise NotGeneric(
-                f"{lv} has the median subset {indices_of_mask(m | hi)}"
-            )
-        rep = m | hi if exc > 0 else complement_mask(m | hi, n)
-        size = rep.bit_count()
+    for m, e in enumerate(exc.tolist()):
+        rep = m | hi if e > 0 else complement_mask(m | hi, n)
         records.append(
             CriticalSubmanifoldData(
                 subset=rep,
-                critical_value=-exc * exc,
-                index=(d - 1) * (n - size),
+                critical_value=-e * e,
+                index=(d - 1) * (n - rep.bit_count()),
                 dim=d - 1,
                 hessian_signature=hessian_signature(lv, rep),
             )
@@ -311,9 +315,8 @@ def jacobian_rank(lv: LengthVector, config: PolygonConfiguration) -> int:
     if u.shape[0] != n:
         raise ValueError(f"expected {n} direction rows, got {u.shape[0]}")
     _check_units(u)
-    lengths = np.asarray(lv.entries, dtype=float)
+    lengths, scale = _as_floats(lv)
     partial = np.cumsum(lengths[:, None] * u, axis=0)[:-1]  # v_1 .. v_{n-1}
-    scale = float(lv.total)
     norms = np.linalg.norm(partial, axis=1)
     if np.any(norms < RESIDUAL_TOL * scale):
         raise DegenerateConfiguration("a partial sum vanishes; the map is not smooth")
@@ -331,6 +334,13 @@ def jacobian_rank(lv: LengthVector, config: PolygonConfiguration) -> int:
 # complement homology bookkeeping
 
 
+def _long_side_sizes(lv: LengthVector, exc: np.ndarray) -> list[int]:
+    """Number of complementary pairs whose long side has k elements, k = 0..n."""
+    sizes = subset_sizes(lv.n - 1)
+    long_sizes = np.where(exc > 0, sizes + 1, lv.n - 1 - sizes)
+    return np.bincount(long_sizes, minlength=lv.n + 1).tolist()
+
+
 def complement_poincare_polynomial(
     lv: LengthVector, d: int, max_n: int | None = None
 ) -> list[int]:
@@ -338,21 +348,15 @@ def complement_poincare_polynomial(
     contributes t^{(d-1)(n-|J|)} (1 + t^{d-1})."""
     if d < 3:
         raise UnsupportedDimension(f"needs d >= 3, got {d}")
-    check_enumeration_width(lv.n, max_n)
-    n, total = lv.n, lv.total
-    ln = lv.entries[-1]
-    hi = 1 << (n - 1)
+    exc = top_excess(lv, max_n)
+    reject_median(lv, exc)
+    n = lv.n
     coeffs = [0] * ((d - 1) * n + 1)
-    for m, s in enumerate(subset_sums(lv.entries[:-1])):
-        exc = 2 * (s + ln) - total
-        if exc == 0:
-            raise NotGeneric(
-                f"{lv} has the median subset {indices_of_mask(m | hi)}"
-            )
-        rep = m | hi if exc > 0 else complement_mask(m | hi, n)
-        base = (d - 1) * (n - rep.bit_count())
-        coeffs[base] += 1
-        coeffs[base + d - 1] += 1
+    for size, count in enumerate(_long_side_sizes(lv, exc)):
+        if count:
+            base = (d - 1) * (n - size)
+            coeffs[base] += count
+            coeffs[base + d - 1] += count
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
@@ -366,22 +370,9 @@ def lacunary_consistency(lv: LengthVector, d: int, max_n: int | None = None) -> 
     appear in degrees not divisible by d-1.
     """
     poly = complement_poincare_polynomial(lv, d, max_n)
-    n, total = lv.n, lv.total
-    ln = lv.entries[-1]
-    hi = 1 << (n - 1)
-    by_size = [0] * (n + 1)
-    for m, s in enumerate(subset_sums(lv.entries[:-1])):
-        exc = 2 * (s + ln) - total
-        rep = m | hi if exc > 0 else complement_mask(m | hi, n)
-        by_size[rep.bit_count()] += 1
-
-    def coeff(i: int) -> int:
-        return poly[i] if 0 <= i < len(poly) else 0
-
-    def count(size: int) -> int:
-        return by_size[size] if 0 <= size <= n else 0
-
-    for k in range(n + 1):
-        if coeff((d - 1) * k) != count(n - k + 1) + count(n - k):
-            return False
-    return all(v == 0 for i, v in enumerate(poly) if i % (d - 1))
+    n = lv.n
+    by_size = _long_side_sizes(lv, top_excess(lv, max_n)) + [0]
+    padded = poly + [0] * ((d - 1) * n + 1 - len(poly))
+    return all(
+        padded[(d - 1) * k] == by_size[n - k + 1] + by_size[n - k] for k in range(n + 1)
+    ) and all(v == 0 for i, v in enumerate(poly) if i % (d - 1))

@@ -2,7 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_signatures, length_vectors
+from helpers import (
+    BOUNDARY_VECTORS,
+    brute_force_signatures,
+    downward_closure,
+    length_vectors,
+    oracle_downward_closed,
+    oracle_top_excess,
+)
+from polygonspaces import chambers
 from polygonspaces import (
     ChamberSignature,
     LengthVector,
@@ -18,6 +26,7 @@ from polygonspaces import (
     stratum_signature,
 )
 from polygonspaces.errors import (
+    CertificateFailure,
     DimensionMismatch,
     MalformedCandidate,
     NotGeneric,
@@ -68,6 +77,30 @@ class TestSignature:
         # member outside 1..n-1
         with pytest.raises(MalformedCandidate):
             ChamberSignature(3, frozenset({mask_from_indices((3,)), 0, 1, 2}))
+
+    def test_closure_error_names_member_and_gap(self):
+        # (1, 3) loses 1 and 3 to members, but sliding 3 down gives (1, 2)
+        fam = frozenset({0, 0b001, 0b010, 0b100, mask_from_indices((1, 3))})
+        with pytest.raises(MalformedCandidate) as info:
+            ChamberSignature(4, fam)
+        assert str(info.value) == (
+            "family not downward closed: (1, 3) is a member but (1, 2) is not"
+        )
+
+    @pytest.mark.parametrize("entries", BOUNDARY_VECTORS)
+    def test_boundary_vectors(self, entries):
+        lv = LengthVector(entries)
+        short = {m for m, e in enumerate(oracle_top_excess(entries)) if e < 0}
+        assert chamber_signature(lv).short_family == short
+        strat = stratum_signature(lv)
+        assert strat.short_family == short
+        assert strat.median_family == frozenset()
+
+    def test_median_named_across_the_boundary(self):
+        lv = LengthVector((1, 2**62 - 1, 2**62))
+        with pytest.raises(NotGeneric, match=r"median subset \(3,\)"):
+            chamber_signature(lv)
+        assert stratum_signature(lv).median_family == {0}
 
     def test_canonical_bytes_deterministic(self):
         a = chamber_signature(parse_length_vector("1,2,2,2,4,4"))
@@ -155,9 +188,20 @@ class TestRealize:
             assert rep is not None
             assert chamber_signature(rep).is_empty_space
 
+    def test_round_trip_mismatch_is_a_typed_error(self, monkeypatch):
+        # a signature check that disagrees with the LP must not pass silently,
+        # also under python -O
+        monkeypatch.setattr(
+            chambers,
+            "chamber_signature",
+            lambda lv, max_n=None: ChamberSignature(lv.n, frozenset()),
+        )
+        with pytest.raises(CertificateFailure):
+            realize_signature(ChamberSignature(3, frozenset({0})))
+
 
 class TestCensus:
-    @pytest.mark.parametrize("n,count", [(3, 2), (4, 3), (5, 7)])
+    @pytest.mark.parametrize("n,count", [(3, 2), (4, 3), (5, 7), (6, 21)])
     def test_counts(self, n, count):
         assert enumerate_chambers(n).count == count
 
@@ -191,6 +235,34 @@ class TestCensus:
     def test_out_of_range(self, n):
         with pytest.raises(OutOfRange):
             enumerate_chambers(n)
+
+
+@st.composite
+def candidate_families(draw):
+    n = draw(st.integers(2, 6))
+    width = n - 1
+    masks = st.integers(0, (1 << width) - 1)
+    if draw(st.booleans()):
+        return n, draw(st.sets(masks))
+    fam = downward_closure(n, draw(st.lists(masks, max_size=3)))
+    if fam and draw(st.booleans()):
+        fam.discard(draw(st.sampled_from(sorted(fam))))
+    if draw(st.integers(0, 9)) == 0:
+        fam.add(draw(st.sampled_from([-1, 1 << width, 5 << width])))
+    return n, fam
+
+
+class TestClosureProperty:
+    @given(candidate_families())
+    @settings(max_examples=300)
+    def test_accepts_exactly_the_closed_families(self, case):
+        n, fam = case
+        try:
+            ChamberSignature(n, frozenset(fam))
+            accepted = True
+        except MalformedCandidate:
+            accepted = False
+        assert accepted == oracle_downward_closed(n, fam)
 
 
 class TestEquivalenceProperties:

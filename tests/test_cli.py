@@ -1,8 +1,9 @@
 import io
 import json
 
-from polygonspaces import chamber_signature, parse_length_vector
+from polygonspaces import chamber_signature, cli, parse_length_vector
 from polygonspaces.cli import run
+from polygonspaces.errors import DegenerateConfiguration
 
 
 def invoke(*argv):
@@ -118,6 +119,13 @@ class TestCensus:
         second = invoke("census", "--n", "5", "--json")
         assert first == second
 
+    def test_ignored_flags_rejected(self):
+        # census caps n itself and has nothing to seed
+        code, _, err = invoke("census", "--n", "4", "--max-n", "2")
+        assert code == 1
+        assert "usage error" in err
+        assert invoke("census", "--n", "4", "--seed", "1")[0] == 1
+
     def test_representatives_round_trip(self):
         _, out, _ = invoke("census", "--n", "4", "--json")
         doc = json.loads(out)
@@ -159,6 +167,26 @@ class TestVerify:
     def test_nongeneric_rejected(self):
         code, _, err = invoke("verify", "--l", "1,1,2", "--d", "3")
         assert code == 1
+
+    def test_huge_entries(self):
+        big = 10**400
+        code, out, err = invoke(
+            "verify", "--d", "3", "--json", "--l", f"{big},{big + 1},{big + 2}"
+        )
+        assert code == 0
+        assert "Traceback" not in err
+        doc = json.loads(out)
+        assert doc["lacunary_consistent"] is True
+        assert doc["jacobian_rank"] == 3
+
+    def test_degenerate_configuration_is_a_limit(self, monkeypatch):
+        def degenerate(lv, config):
+            raise DegenerateConfiguration("a partial sum vanishes")
+
+        monkeypatch.setattr(cli, "jacobian_rank", degenerate)
+        code, _, err = invoke("verify", "--l", "1,1,1", "--d", "3")
+        assert code == 3
+        assert "limit" in err
 
 
 class TestClassifyFile:
@@ -207,6 +235,15 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert invoke("betti", "--l", "1,1,1")[0] == 1
+
+    def test_seed_only_on_verify(self):
+        for argv in (
+            ("betti", "--l", "1,1,1", "--d", "3"),
+            ("ring", "--l", "1,1,1", "--d", "3"),
+            ("compare", "--l", "1,1,1", "--l2", "1,1,1", "--d", "3"),
+        ):
+            assert invoke(*argv)[0] == 0
+            assert invoke(*argv, "--seed", "1")[0] == 1
 
     def test_bad_vector(self):
         assert invoke("betti", "--l", "0,1,1", "--d", "3")[0] == 1

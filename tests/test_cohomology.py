@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import length_vectors
+from helpers import BOUNDARY_VECTORS, length_vectors, oracle_top_excess
 from polygonspaces import (
     Kind,
+    LengthVector,
     classify_subset,
     betti_table,
     classify_pair,
@@ -57,6 +58,42 @@ class TestCounts:
     def test_requires_ordered(self):
         with pytest.raises(NotOrdered):
             short_median_counts(parse_length_vector("2,1,1"))
+
+
+class TestBoundaryVectors:
+    """Size counts and ring data across the int64/object scan boundary."""
+
+    @pytest.mark.parametrize("entries", BOUNDARY_VECTORS)
+    def test_counts_match_oracle(self, entries):
+        n = len(entries)
+        exc = oracle_top_excess(entries)
+        a, b = [0] * n, [0] * n
+        for m, e in enumerate(exc):
+            if e <= 0:
+                (a if e < 0 else b)[m.bit_count()] += 1
+        assert short_median_counts(LengthVector(entries)) == (tuple(a), tuple(b))
+
+    @pytest.mark.parametrize("entries", BOUNDARY_VECTORS)
+    def test_quotient_basis_matches_oracle(self, entries):
+        counts = {}
+        for m, e in enumerate(oracle_top_excess(entries)):
+            if e <= 0:
+                for k in (m.bit_count(), m.bit_count() + 1):
+                    counts[k] = counts.get(k, 0) + 1
+        assert quotient_basis_dimensions(LengthVector(entries), 3) == counts
+
+    @pytest.mark.parametrize("entries", BOUNDARY_VECTORS)
+    def test_ring_matches_oracle(self, entries):
+        n = len(entries)
+        long = {m for m, e in enumerate(oracle_top_excess(entries)) if e > 0}
+        minimal = {
+            m
+            for m in long
+            if not any(m & 1 << j and m ^ 1 << j in long for j in range(n))
+        }
+        pres = ring_presentation(LengthVector(entries), 3)
+        assert set(pres.minimal_generators) == minimal
+        assert pres.pruned == tuple(j for j in range(1, n) if 1 << (j - 1) in long)
 
 
 class TestBetti:

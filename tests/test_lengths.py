@@ -1,10 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import length_vectors, oracle_excess
+from helpers import BOUNDARY_VECTORS, length_vectors, oracle_excess, oracle_top_excess
 from polygonspaces import (
     Kind,
     LengthVector,
@@ -24,7 +25,7 @@ from polygonspaces.errors import (
     OutOfRange,
     TooFewEntries,
 )
-from polygonspaces.lengths import mask_key, subset_sums
+from polygonspaces.lengths import mask_key, subset_sizes, subset_sums, top_excess
 
 
 class TestParse:
@@ -105,6 +106,38 @@ class TestMasks:
         sums = subset_sums((huge, 1, huge))
         assert sums[0b101] == 2 * huge
 
+    def test_subset_sums_dtype_boundary(self):
+        assert subset_sums((1, 2**62 - 2)).dtype == np.int64
+        assert subset_sums((1, 2**62 - 1)).dtype == object
+        assert subset_sums((1, 2), dtype=object).dtype == object
+
+    def test_subset_sizes_are_popcounts(self):
+        sizes = subset_sizes(7)
+        assert sizes.tolist() == [m.bit_count() for m in range(1 << 7)]
+        assert not sizes.flags.writeable
+
+
+class TestTopExcess:
+    @pytest.mark.parametrize("entries", BOUNDARY_VECTORS)
+    def test_matches_oracle_across_the_int64_boundary(self, entries):
+        lv = LengthVector(entries)
+        assert lv.entries == entries and lv.is_ordered
+        exc = top_excess(lv)
+        assert exc.dtype == (np.int64 if 2 * lv.total < 2**63 else object)
+        assert exc.tolist() == oracle_top_excess(entries)
+
+    def test_boundary_vectors_straddle_the_boundary(self):
+        doubled = [2 * sum(e) for e in BOUNDARY_VECTORS]
+        assert doubled == [2**63 - 2] * 2 + [2**63 + 2] * 2
+
+    @given(length_vectors(ordered=True, max_n=7))
+    def test_matches_oracle(self, lv):
+        assert top_excess(lv).tolist() == oracle_top_excess(lv.entries)
+
+    def test_cap_guard(self):
+        with pytest.raises(OutOfRange):
+            top_excess(LengthVector((1, 2, 3, 4)), max_n=3)
+
 
 class TestExcess:
     def test_example_short(self):
@@ -152,6 +185,16 @@ class TestGenericity:
             is_generic(lv, max_n=5)
         assert is_generic(lv, max_n=6) in (True, False)
 
+    @pytest.mark.parametrize("entries", BOUNDARY_VECTORS)
+    def test_boundary_vectors(self, entries):
+        lv = LengthVector(entries)
+        assert is_generic(lv) == all(e != 0 for e in oracle_top_excess(entries))
+
+    def test_median_across_the_boundary(self):
+        # 1 + (2^62 - 1) = 2^62: {1, 2} and {3} are median, 2L = 2^64
+        lv = LengthVector((1, 2**62 - 1, 2**62))
+        assert not is_generic(lv)
+
     def test_odd_total_skips_the_scan(self):
         # no subset of an odd-total vector can be median, at any n
         lv = LengthVector(tuple(range(1, 7)))
@@ -176,6 +219,12 @@ class TestLongSubsetStream:
     def test_requires_ordered(self):
         with pytest.raises(NotOrdered):
             list(long_subsets_containing_n(parse_length_vector("3,1,1")))
+
+    @pytest.mark.parametrize("entries", BOUNDARY_VECTORS)
+    def test_boundary_vectors(self, entries):
+        hi = 1 << (len(entries) - 1)
+        expected = [m | hi for m, e in enumerate(oracle_top_excess(entries)) if e > 0]
+        assert list(long_subsets_containing_n(LengthVector(entries))) == expected
 
 
 class TestProperties:

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import length_vectors
+from helpers import BOUNDARY_VECTORS, length_vectors, oracle_excess, oracle_top_excess
 from polygonspaces import (
     EmptySpaceCertificate,
+    LengthVector,
     PolygonConfiguration,
     complement_poincare_polynomial,
     critical_data,
@@ -29,7 +30,7 @@ from polygonspaces.errors import (
     NotGeneric,
     SubsetNotLong,
 )
-from polygonspaces.morse import _integer_inertia
+from polygonspaces.morse import _as_floats, _integer_inertia
 
 
 def triangle_config():
@@ -123,6 +124,21 @@ class TestFindPolygon:
             find_polygon(parse_length_vector("1,1,2"), 3, seed=0)
         assert info.value.best_residual is not None
         assert info.value.best_residual < 0.1
+
+    def test_huge_entries_are_rescaled(self):
+        # 10^400 overflows a float; the solver works on an exact 2^-k rescale
+        big = 10**400
+        lv = LengthVector((big, big + 1, big + 2))
+        cfg = find_polygon(lv, 3, seed=0)
+        assert cfg.residual < 1e-9 * _as_floats(lv)[1]
+        assert jacobian_rank(lv, cfg) == 3
+
+    @given(length_vectors(max_entry=2**499))
+    @settings(max_examples=30)
+    def test_float_cast_unchanged_below_the_threshold(self, lv):
+        lengths, perimeter = _as_floats(lv)
+        assert np.array_equal(lengths, np.asarray(lv.entries, dtype=float))
+        assert perimeter == float(lv.total)
 
     def test_unordered_empty_detection(self):
         # the dominating side need not sit last for library calls
@@ -240,6 +256,40 @@ class TestCriticalData:
             u[:, 0] = signs
             value = energy(lv, PolygonConfiguration(3, u, 0.0))
             assert abs(value - rec.critical_value) <= 1e-12 * abs(rec.critical_value)
+
+
+class TestBoundaryVectors:
+    """Critical data and complement counts across the int64/object boundary."""
+
+    @pytest.mark.parametrize("entries", BOUNDARY_VECTORS)
+    def test_critical_data_matches_oracle(self, entries):
+        lv = LengthVector(entries)
+        n = lv.n
+        recs = critical_data(lv, 3)
+        assert len(recs) == 2 ** (n - 1)
+        for r in recs:
+            exc = oracle_excess(entries, indices_of_mask(r.subset))
+            assert exc > 0
+            assert type(r.critical_value) is int
+            assert r.critical_value == -exc * exc
+            assert r.index == 2 * (n - r.subset.bit_count())
+        # far beyond int64: a wrapped square would show here
+        assert min(r.critical_value for r in recs) < -(2**63)
+
+    @pytest.mark.parametrize("entries", BOUNDARY_VECTORS)
+    def test_complement_polynomial_matches_oracle(self, entries):
+        n = len(entries)
+        hi = 1 << (n - 1)
+        coeffs = [0] * (2 * n + 1)
+        for m, e in enumerate(oracle_top_excess(entries)):
+            size = (m | hi).bit_count() if e > 0 else n - (m | hi).bit_count()
+            coeffs[2 * (n - size)] += 1
+            coeffs[2 * (n - size) + 2] += 1
+        while coeffs[-1] == 0:
+            coeffs.pop()
+        lv = LengthVector(entries)
+        assert complement_poincare_polynomial(lv, 3) == coeffs
+        assert lacunary_consistency(lv, 3)
 
 
 class TestJacobianRank:
