@@ -304,8 +304,12 @@ def enumerate_chambers(n: int) -> CensusResult:
     first = realize_signature(start)
     if first is None:
         raise CertificateFailure("the LP found no vector with an empty polygon space")
-    found: dict[ChamberSignature, LengthVector] = {start: first}
-    infeasible: set[ChamberSignature] = set()
+    # keyed by family: a candidate seen before is skipped before its
+    # signature is built and validated
+    found: dict[frozenset[int], tuple[ChamberSignature, LengthVector]] = {
+        start.short_family: (start, first)
+    }
+    infeasible: set[frozenset[int]] = set()
     frontier = [start]
     while frontier:
         sig = frontier.pop()
@@ -314,14 +318,14 @@ def enumerate_chambers(n: int) -> CensusResult:
         flips = [fam - {m} for m in _maximal_members(fam, member)]
         flips += [fam | {m} for m in _minimal_nonmembers(member)]
         for new_fam in flips:
-            cand = ChamberSignature(n, frozenset(new_fam))
-            if cand in found or cand in infeasible:
+            if new_fam in found or new_fam in infeasible:
                 continue
+            cand = ChamberSignature(n, new_fam)
             rep = realize_signature(cand)
             if rep is None:
-                infeasible.add(cand)
+                infeasible.add(new_fam)
             else:
-                found[cand] = rep
+                found[new_fam] = (cand, rep)
                 frontier.append(cand)
-    ordered = sorted(found.items(), key=lambda kv: kv[0].canonical_bytes)
+    ordered = sorted(found.values(), key=lambda chamber: chamber[0].canonical_bytes)
     return CensusResult(n, tuple(ordered))

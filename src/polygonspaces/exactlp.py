@@ -1,13 +1,29 @@
 """Exact rational linear programming: dense two-phase simplex.
 
-Every tableau entry is a Fraction, so feasibility, infeasibility and
-optimality are all certified exactly.  Bland's rule guarantees
+The tableau is held as integer rows over one shared positive denominator
+d, and pivots are fraction-free (Bareiss 1968, Edmonds).  Each constraint
+row is scaled by the lcm of its own denominators while its slack and
+artificial entries stay +-1, so the starting basis is the identity and
+d = 1.  Every later tableau is then +-adj(B) A over d = |det B| for the
+current basis B.  A pivot divides an integer combination of two rows by
+the previous d, and the quotient is an entry of +-adj(B') A for the next
+basis B', so by Sylvester's identity the division is exact.  Dropping a
+redundant row keeps this: its artificial would stay basic, and the row
+would take no part in later pivots.  Feasibility, infeasibility and
+optimality are thus certified exactly without a single gcd inside the
+pivot loop.
+
+The scaling only rescales slack and artificial variables, so with the
+phase 1 costs rescaled to match, every reduced cost keeps its sign and
+every ratio its order: Bland's rule takes the same decisions as on the
+rational tableau and ends on the same vertex.  It guarantees
 termination.  Intended for the small strict-feasibility systems of the
 chamber module, not for large programs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -41,44 +57,67 @@ class LPResult:
     solution: tuple[Fraction, ...] | None = None
 
 
-def _pivot(tableau: list[list[Fraction]], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    for i, r in enumerate(tableau):
-        if i != row and r[col]:
-            factor = r[col]
-            prow = tableau[row]
-            tableau[i] = [v - factor * p for v, p in zip(r, prow)]
+def _scaled(values: Sequence[Fraction], scale: int) -> list[int]:
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
-def _simplex(tableau: list[list[Fraction]], basis: list[int], cost: list[Fraction]) -> str:
-    """Maximize cost.x on a canonical tableau; Bland's rule throughout."""
-    m = len(tableau)
-    ncols = len(tableau[0]) - 1
+def _common_denominator(values: Sequence[Fraction]) -> int:
+    return math.lcm(*(v.denominator for v in values))
+
+
+def _pivot(rows: list[list[int]], d: int, r: int, c: int) -> int:
+    """Pivot the tableau rows/d on entry (r, c); return the new denominator.
+
+    Row r stays as it is over the new denominator p = rows[r][c]; every
+    other row becomes (p*row - row[c]*rows[r]) / d.  The division is exact
+    by Sylvester's identity.  A negative p negates the tableau, so the
+    denominator stays positive.
+    """
+    prow = rows[r]
+    p = prow[c]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            rows[i] = [(p * v - f * w) // d for v, w in zip(row, prow)]
+        elif p != d:
+            rows[i] = [p * v // d for v in row]
+    if p < 0:
+        rows[:] = [[-v for v in row] for row in rows]
+        p = -p
+    return p
+
+
+def _simplex(
+    rows: list[list[int]], basis: list[int], d: int, cost: list[int], ncols: int
+) -> tuple[str, int]:
+    """Maximize cost.x on the canonical tableau rows/d; Bland's rule
+    throughout.  Returns the status and the final denominator."""
     while True:
-        duals = [cost[basis[i]] for i in range(m)]
-        entering = -1
-        for j in range(ncols):
-            reduced = cost[j] - sum(duals[i] * tableau[i][j] for i in range(m))
-            if reduced > 0:
-                entering = j
-                break
+        priced = [(cost[b], row) for b, row in zip(basis, rows) if cost[b]]
+        entering = next(
+            (j for j in range(ncols) if d * cost[j] > sum(y * row[j] for y, row in priced)),
+            -1,
+        )
         if entering < 0:
-            return OPTIMAL
+            return OPTIMAL, d
+        # least ratio rhs/a over a > 0, compared by cross-multiplying;
+        # ties go to the smallest basic index
         leaving = -1
-        best = None
-        for i in range(m):
-            a = tableau[i][entering]
+        for i, row in enumerate(rows):
+            a = row[entering]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leaving]
-                ):
-                    best = ratio
+                if leaving < 0:
+                    leaving = i
+                    continue
+                lhs = row[-1] * rows[leaving][entering]
+                rhs = rows[leaving][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                     leaving = i
         if leaving < 0:
-            return UNBOUNDED
-        _pivot(tableau, leaving, entering)
+            return UNBOUNDED, d
+        d = _pivot(rows, d, leaving, entering)
         basis[leaving] = entering
 
 
@@ -100,36 +139,43 @@ def maximize(objective: Sequence, constraints: Sequence[Constraint]) -> LPResult
     n_slack = sum(1 for _, rel, _ in rows if rel != EQUAL)
     n_art = sum(1 for _, rel, _ in rows if rel != LESS_EQUAL)
     ncols = nvars + n_slack + n_art
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     basis: list[int] = []
+    #: row scale behind each artificial column, in column order
+    art_scales: list[int] = []
     slack_at = nvars
     art_at = nvars + n_slack
     for coeffs, rel, rhs in rows:
-        row = coeffs + [Fraction(0)] * (n_slack + n_art) + [rhs]
+        scale = _common_denominator(coeffs + [rhs])
+        row = _scaled(coeffs, scale) + [0] * (n_slack + n_art) + _scaled([rhs], scale)
         if rel == LESS_EQUAL:
-            row[slack_at] = Fraction(1)
+            row[slack_at] = 1
             basis.append(slack_at)
             slack_at += 1
         elif rel == GREATER_EQUAL:
-            row[slack_at] = Fraction(-1)
+            row[slack_at] = -1
             slack_at += 1
-            row[art_at] = Fraction(1)
+            row[art_at] = 1
             basis.append(art_at)
             art_at += 1
+            art_scales.append(scale)
         else:
-            row[art_at] = Fraction(1)
+            row[art_at] = 1
             basis.append(art_at)
             art_at += 1
+            art_scales.append(scale)
         tableau.append(row)
+    d = 1
 
     art_start = nvars + n_slack
     if n_art:
-        phase1 = [Fraction(0)] * ncols
-        for j in range(art_start, ncols):
-            phase1[j] = Fraction(-1)
-        _simplex(tableau, basis, phase1)
-        value = sum(tableau[i][-1] for i in range(len(tableau)) if basis[i] >= art_start)
-        if value > 0:
+        # the artificial of a row scaled by s stands for s times the
+        # unscaled one, so minimizing the unscaled sum costs it 1/s; the
+        # lcm clears the denominators
+        lcm = math.lcm(*art_scales)
+        phase1 = [0] * art_start + [-(lcm // s) for s in art_scales]
+        _, d = _simplex(tableau, basis, d, phase1, ncols)
+        if any(row[-1] > 0 for row, b in zip(tableau, basis) if b >= art_start):
             return LPResult(INFEASIBLE)
         # pivot lingering degenerate artificials out, dropping redundant rows
         for i in range(len(tableau) - 1, -1, -1):
@@ -141,18 +187,18 @@ def maximize(objective: Sequence, constraints: Sequence[Constraint]) -> LPResult
                     del tableau[i]
                     del basis[i]
                 else:
-                    _pivot(tableau, i, col)
+                    d = _pivot(tableau, d, i, col)
                     basis[i] = col
         tableau = [row[:art_start] + row[-1:] for row in tableau]
         ncols = art_start
 
-    cost = obj + [Fraction(0)] * (ncols - nvars)
-    status = _simplex(tableau, basis, cost)
+    cost = _scaled(obj, _common_denominator(obj)) + [0] * (ncols - nvars)
+    status, d = _simplex(tableau, basis, d, cost, ncols)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)
     x = [Fraction(0)] * nvars
-    for i, b in enumerate(basis):
+    for row, b in zip(tableau, basis):
         if b < nvars:
-            x[b] = tableau[i][-1]
+            x[b] = Fraction(row[-1], d)
     value = sum(c * v for c, v in zip(obj, x))
     return LPResult(OPTIMAL, value, tuple(x))

@@ -334,25 +334,20 @@ def jacobian_rank(lv: LengthVector, config: PolygonConfiguration) -> int:
 # complement homology bookkeeping
 
 
-def _long_side_sizes(lv: LengthVector, exc: np.ndarray) -> list[int]:
+def _long_side_sizes(lv: LengthVector, d: int, max_n: int | None) -> list[int]:
     """Number of complementary pairs whose long side has k elements, k = 0..n."""
+    if d < 3:
+        raise UnsupportedDimension(f"needs d >= 3, got {d}")
+    exc = top_excess(lv, max_n)
+    reject_median(lv, exc)
     sizes = subset_sizes(lv.n - 1)
     long_sizes = np.where(exc > 0, sizes + 1, lv.n - 1 - sizes)
     return np.bincount(long_sizes, minlength=lv.n + 1).tolist()
 
 
-def complement_poincare_polynomial(
-    lv: LengthVector, d: int, max_n: int | None = None
-) -> list[int]:
-    """Poincare polynomial of the off-zero region: each long subset
-    contributes t^{(d-1)(n-|J|)} (1 + t^{d-1})."""
-    if d < 3:
-        raise UnsupportedDimension(f"needs d >= 3, got {d}")
-    exc = top_excess(lv, max_n)
-    reject_median(lv, exc)
-    n = lv.n
+def _complement_polynomial(n: int, d: int, by_size: list[int]) -> list[int]:
     coeffs = [0] * ((d - 1) * n + 1)
-    for size, count in enumerate(_long_side_sizes(lv, exc)):
+    for size, count in enumerate(by_size):
         if count:
             base = (d - 1) * (n - size)
             coeffs[base] += count
@@ -362,6 +357,14 @@ def complement_poincare_polynomial(
     return coeffs
 
 
+def complement_poincare_polynomial(
+    lv: LengthVector, d: int, max_n: int | None = None
+) -> list[int]:
+    """Poincare polynomial of the off-zero region: each long subset
+    contributes t^{(d-1)(n-|J|)} (1 + t^{d-1})."""
+    return _complement_polynomial(lv.n, d, _long_side_sizes(lv, d, max_n))
+
+
 def lacunary_consistency(lv: LengthVector, d: int, max_n: int | None = None) -> bool:
     """Check the complement polynomial against direct size counts.
 
@@ -369,9 +372,10 @@ def lacunary_consistency(lv: LengthVector, d: int, max_n: int | None = None) -> 
     n-k+1 elements plus the number with n-k elements, and nothing may
     appear in degrees not divisible by d-1.
     """
-    poly = complement_poincare_polynomial(lv, d, max_n)
     n = lv.n
-    by_size = _long_side_sizes(lv, top_excess(lv, max_n)) + [0]
+    by_size = _long_side_sizes(lv, d, max_n)
+    poly = _complement_polynomial(n, d, by_size)
+    by_size = by_size + [0]
     padded = poly + [0] * ((d - 1) * n + 1 - len(poly))
     return all(
         padded[(d - 1) * k] == by_size[n - k + 1] + by_size[n - k] for k in range(n + 1)

@@ -1,11 +1,23 @@
 """Shared strategies and independent oracles for the test suite."""
 
+from fractions import Fraction
 from itertools import combinations_with_replacement
+from typing import Sequence
 
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from polygonspaces import LengthVector, chamber_signature, is_generic
+from polygonspaces.exactlp import (
+    EQUAL,
+    GREATER_EQUAL,
+    INFEASIBLE,
+    LESS_EQUAL,
+    OPTIMAL,
+    UNBOUNDED,
+    Constraint,
+    LPResult,
+)
 
 
 @st.composite
@@ -93,3 +105,123 @@ def downward_closure(n, masks):
                 if j and not m >> (j - 1) & 1:
                     todo.append(m ^ 1 << j | 1 << (j - 1))
     return found
+
+
+def _oracle_pivot(tableau: list[list[Fraction]], row: int, col: int) -> None:
+    piv = tableau[row][col]
+    tableau[row] = [v / piv for v in tableau[row]]
+    for i, r in enumerate(tableau):
+        if i != row and r[col]:
+            factor = r[col]
+            prow = tableau[row]
+            tableau[i] = [v - factor * p for v, p in zip(r, prow)]
+
+
+def _oracle_simplex(tableau: list[list[Fraction]], basis: list[int], cost: list[Fraction]) -> str:
+    """Maximize cost.x on a canonical tableau; Bland's rule throughout."""
+    m = len(tableau)
+    ncols = len(tableau[0]) - 1
+    while True:
+        duals = [cost[basis[i]] for i in range(m)]
+        entering = -1
+        for j in range(ncols):
+            reduced = cost[j] - sum(duals[i] * tableau[i][j] for i in range(m))
+            if reduced > 0:
+                entering = j
+                break
+        if entering < 0:
+            return OPTIMAL
+        leaving = -1
+        best = None
+        for i in range(m):
+            a = tableau[i][entering]
+            if a > 0:
+                ratio = tableau[i][-1] / a
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leaving]
+                ):
+                    best = ratio
+                    leaving = i
+        if leaving < 0:
+            return UNBOUNDED
+        _oracle_pivot(tableau, leaving, entering)
+        basis[leaving] = entering
+
+
+def oracle_maximize(objective: Sequence, constraints: Sequence[Constraint]) -> LPResult:
+    """The Fraction-tableau simplex that exactlp.maximize replaced, kept
+    verbatim: every entry is a Fraction and every update pays a gcd.  It
+    reads the column count from row 0, so it needs a row to survive phase 1
+    (any inequality row does)."""
+    obj = [Fraction(c) for c in objective]
+    nvars = len(obj)
+    rows = []
+    for con in constraints:
+        if len(con.coeffs) != nvars:
+            raise ValueError("constraint width does not match the objective")
+        coeffs, rel, rhs = list(con.coeffs), con.relation, con.rhs
+        if rhs < 0:
+            coeffs = [-c for c in coeffs]
+            rhs = -rhs
+            rel = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}[rel]
+        rows.append((coeffs, rel, rhs))
+
+    n_slack = sum(1 for _, rel, _ in rows if rel != EQUAL)
+    n_art = sum(1 for _, rel, _ in rows if rel != LESS_EQUAL)
+    ncols = nvars + n_slack + n_art
+    tableau: list[list[Fraction]] = []
+    basis: list[int] = []
+    slack_at = nvars
+    art_at = nvars + n_slack
+    for coeffs, rel, rhs in rows:
+        row = coeffs + [Fraction(0)] * (n_slack + n_art) + [rhs]
+        if rel == LESS_EQUAL:
+            row[slack_at] = Fraction(1)
+            basis.append(slack_at)
+            slack_at += 1
+        elif rel == GREATER_EQUAL:
+            row[slack_at] = Fraction(-1)
+            slack_at += 1
+            row[art_at] = Fraction(1)
+            basis.append(art_at)
+            art_at += 1
+        else:
+            row[art_at] = Fraction(1)
+            basis.append(art_at)
+            art_at += 1
+        tableau.append(row)
+
+    art_start = nvars + n_slack
+    if n_art:
+        phase1 = [Fraction(0)] * ncols
+        for j in range(art_start, ncols):
+            phase1[j] = Fraction(-1)
+        _oracle_simplex(tableau, basis, phase1)
+        value = sum(tableau[i][-1] for i in range(len(tableau)) if basis[i] >= art_start)
+        if value > 0:
+            return LPResult(INFEASIBLE)
+        # pivot lingering degenerate artificials out, dropping redundant rows
+        for i in range(len(tableau) - 1, -1, -1):
+            if basis[i] >= art_start:
+                col = next(
+                    (j for j in range(art_start) if tableau[i][j] != 0), None
+                )
+                if col is None:
+                    del tableau[i]
+                    del basis[i]
+                else:
+                    _oracle_pivot(tableau, i, col)
+                    basis[i] = col
+        tableau = [row[:art_start] + row[-1:] for row in tableau]
+        ncols = art_start
+
+    cost = obj + [Fraction(0)] * (ncols - nvars)
+    status = _oracle_simplex(tableau, basis, cost)
+    if status == UNBOUNDED:
+        return LPResult(UNBOUNDED)
+    x = [Fraction(0)] * nvars
+    for i, b in enumerate(basis):
+        if b < nvars:
+            x[b] = tableau[i][-1]
+    value = sum(c * v for c, v in zip(obj, x))
+    return LPResult(OPTIMAL, value, tuple(x))

@@ -201,9 +201,14 @@ class TestRealize:
 
 
 class TestCensus:
-    @pytest.mark.parametrize("n,count", [(3, 2), (4, 3), (5, 7), (6, 21)])
+    # Hausmann-Rodriguez, Experiment. Math. 2004
+    @pytest.mark.parametrize("n,count", [(3, 2), (4, 3), (5, 7), (6, 21), (7, 135)])
     def test_counts(self, n, count):
         assert enumerate_chambers(n).count == count
+
+    @pytest.mark.slow
+    def test_count_n8(self):
+        assert enumerate_chambers(8).count == 2470
 
     def test_round_trip_and_invariants(self):
         census = enumerate_chambers(5)
