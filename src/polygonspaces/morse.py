@@ -4,7 +4,10 @@ The energy of a direction tuple is minus the squared length of the
 weighted sum; its zero set is the polygon space.  Away from zero the
 critical sets are the aligned configurations, one per complementary
 subset pair, and their transverse behaviour is governed by an exact
-rational n x n form whose inertia this module computes without floats.
+rational n x n form.  That form is congruent to an integer diagonal
+minus a rank-one term, so Haynsworth's inertia additivity on the
+bordered matrix [[diagonal, v], [v^T, 1]] (Linear Algebra Appl. 1, 1968)
+gives its inertia exactly, in O(n) integer operations and without floats.
 """
 
 from __future__ import annotations
@@ -102,8 +105,10 @@ def find_polygon(
     Each step replaces one direction by the exact minimizer against the
     rest, so the residual never increases; random restarts escape the
     collinear saddles.  When the largest side is long on its own the
-    space is empty and the exact deficit is returned instead.  Entries of
-    2^500 or more are rescaled first, see ``_as_floats``.
+    space is empty and the exact deficit is returned instead; when it is
+    exactly median the space is the single collinear closure, returned
+    as is.  Entries of 2^500 or more are rescaled first, see
+    ``_as_floats``.
     """
     if d < 2:
         raise UnsupportedDimension(f"directions need d >= 2, got {d}")
@@ -114,6 +119,12 @@ def find_polygon(
         return EmptySpaceCertificate(witness=1 << top, min_residual=deficit)
 
     lengths, perimeter = _as_floats(lv)
+    if deficit == 0:  # the top side balances all others: one collinear point
+        u = np.zeros((n, d))
+        u[:, 0] = -1.0
+        u[top, 0] = 1.0
+        res = float(np.linalg.norm(lengths @ u))
+        return PolygonConfiguration(d, u, res, 0, 0, () if record_history else None)
     target = tol * perimeter
     rng = np.random.default_rng(seed)
     best = math.inf
@@ -169,9 +180,18 @@ class HessianMatrix:
     kernel_vector: tuple[int, ...]  # eps_J(j) * l_j
 
     def multiply(self, vec: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-        return tuple(
-            sum(a * Fraction(v) for a, v in zip(row, vec)) for row in self.entries
-        )
+        """Exact product with ``entries``: the vector's denominators and each
+        row's are cleared by their lcm, so every sum runs over integers."""
+        vden = math.lcm(*(v.denominator for v in vec))
+        vnum = [v.numerator * (vden // v.denominator) for v in vec]
+        out = []
+        for row in self.entries:
+            rden = math.lcm(*(a.denominator for a in row))
+            total = sum(
+                a.numerator * (rden // a.denominator) * x for a, x in zip(row, vnum)
+            )
+            out.append(Fraction(total, rden * vden))
+        return tuple(out)
 
 
 def _signs(lv: LengthVector, subset: int) -> list[int]:
@@ -192,72 +212,51 @@ def hessian_matrix(lv: LengthVector, subset: int) -> HessianMatrix:
     return HessianMatrix(tuple(rows), kernel)
 
 
-def _integer_inertia(matrix: list[list[int]]) -> tuple[int, int, int]:
-    """Sylvester inertia of a symmetric integer matrix by congruence.
+def _diagonal_minus_rank_one_inertia(
+    diag: Sequence[int], v: Sequence[int]
+) -> tuple[int, int, int]:
+    """Exact (positive, negative, zero) inertia of diag(d) - v v^T, d_i != 0.
 
-    Eliminating pivot p stores sign(p) * (p*M - cc^T): the Schur complement
-    M - cc^T/p times |p|, a positive rescale that keeps both the inertia and
-    integral entries.  Nothing is divided back out, so entry bit lengths
-    roughly double at every elimination step.
+    Haynsworth additivity on the bordered matrix B = [[diag(d), v], [v^T, 1]]
+    taken both ways: In(B) = In(diag(d)) + In(1 - sum v_i^2 / d_i) and
+    In(B) = In(1) + In(diag(d) - v v^T).  The Schur complement's sign is
+    read from num / den with den > 0, accumulated in integers.
     """
-    a = [row[:] for row in matrix]
-    active = list(range(len(matrix)))
-    pos = neg = zero = 0
-    while active:
-        pivot = next((i for i in active if a[i][i] != 0), None)
-        if pivot is None:
-            off = next(
-                ((i, j) for i in active for j in active if i < j and a[i][j] != 0),
-                None,
-            )
-            if off is None:
-                zero += len(active)
-                break
-            i, j = off
-            # congruence v_i <- v_i + v_j puts 2 a_ij on the diagonal
-            merged = {t: a[i][t] + a[j][t] for t in active}
-            new_diag = a[i][i] + 2 * a[i][j] + a[j][j]
-            for t in active:
-                a[i][t] = a[t][i] = merged[t]
-            a[i][i] = new_diag
-            pivot = i
-        p = a[pivot][pivot]
-        if p > 0:
+    pos = neg = 0
+    num = den = 1
+    for d, x in zip(diag, v, strict=True):
+        if d > 0:
             pos += 1
-        else:
+            num, den = num * d - x * x * den, den * d
+        elif d < 0:
             neg += 1
-        rest = [t for t in active if t != pivot]
-        c = {t: a[pivot][t] for t in rest}
-        s = 1 if p > 0 else -1
-        for x in rest:
-            ax = a[x]
-            cx = c[x]
-            for y in rest:
-                ax[y] = s * (p * ax[y] - cx * c[y])
-        active = rest
-    return pos, neg, zero
+            num, den = num * -d + x * x * den, den * -d
+        else:
+            raise ValueError("the diagonal must be nonsingular")
+    if num > 0:
+        return pos, neg, 0
+    if num < 0:
+        return pos - 1, neg + 1, 0
+    return pos - 1, neg, 1
 
 
 def hessian_signature(lv: LengthVector, subset: int) -> tuple[int, int, int]:
     """Exact (positive, negative, zero) inertia of the reduced form.
 
-    Conjugating by diag(l_j) clears denominators, so the whole reduction
-    runs over the integers: the congruent matrix has eps_i L l_i - l_i^2
-    on the diagonal and -l_i l_j off it.
+    Conjugating D - E by diag(l_j) gives the congruent integer form
+    diag(eps_i L_J l_i) - l l^T, a nonsingular diagonal minus a rank-one
+    term, whose inertia Haynsworth's additivity (E. V. Haynsworth,
+    "Determination of the inertia of a partitioned Hermitian matrix",
+    Linear Algebra Appl. 1, 1968) gives in O(n) integer operations: the
+    diagonal's signs, shifted by the sign of L_J - sum eps_i l_i.  That
+    sign is computed, not assumed, so the (|J|-1, n-|J|, 1) law stays a
+    checked statement.
     """
     exc = excess(lv, subset)
     if exc <= 0:
         raise SubsetNotLong(f"{indices_of_mask(subset)} is not long")
-    l = lv.entries
-    eps = _signs(lv, subset)
-    m = [
-        [
-            eps[i] * exc * l[i] - l[i] * l[i] if i == j else -l[i] * l[j]
-            for j in range(lv.n)
-        ]
-        for i in range(lv.n)
-    ]
-    return _integer_inertia(m)
+    diag = [s * exc * e for s, e in zip(_signs(lv, subset), lv.entries)]
+    return _diagonal_minus_rank_one_inertia(diag, lv.entries)
 
 
 @dataclass(frozen=True)

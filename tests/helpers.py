@@ -225,3 +225,67 @@ def oracle_maximize(objective: Sequence, constraints: Sequence[Constraint]) -> L
             x[b] = tableau[i][-1]
     value = sum(c * v for c, v in zip(obj, x))
     return LPResult(OPTIMAL, value, tuple(x))
+
+
+# ---------------------------------------------------------------------------
+# the congruence eliminator that morse.hessian_signature replaced
+
+
+def oracle_integer_inertia(matrix: list[list[int]]) -> tuple[int, int, int]:
+    """Sylvester inertia of a symmetric integer matrix by congruence.
+
+    Eliminating pivot p stores sign(p) * (p*M - cc^T): the Schur complement
+    M - cc^T/p times |p|, a positive rescale that keeps both the inertia and
+    integral entries.  Nothing is divided back out, so entry bit lengths
+    roughly double at every elimination step.
+    """
+    a = [row[:] for row in matrix]
+    active = list(range(len(matrix)))
+    pos = neg = zero = 0
+    while active:
+        pivot = next((i for i in active if a[i][i] != 0), None)
+        if pivot is None:
+            off = next(
+                ((i, j) for i in active for j in active if i < j and a[i][j] != 0),
+                None,
+            )
+            if off is None:
+                zero += len(active)
+                break
+            i, j = off
+            # congruence v_i <- v_i + v_j puts 2 a_ij on the diagonal
+            merged = {t: a[i][t] + a[j][t] for t in active}
+            new_diag = a[i][i] + 2 * a[i][j] + a[j][j]
+            for t in active:
+                a[i][t] = a[t][i] = merged[t]
+            a[i][i] = new_diag
+            pivot = i
+        p = a[pivot][pivot]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        rest = [t for t in active if t != pivot]
+        c = {t: a[pivot][t] for t in rest}
+        s = 1 if p > 0 else -1
+        for x in rest:
+            ax = a[x]
+            cx = c[x]
+            for y in rest:
+                ax[y] = s * (p * ax[y] - cx * c[y])
+        active = rest
+    return pos, neg, zero
+
+
+def oracle_hessian_form(entries, subset):
+    """The integer form congruent to the reduced Hessian, built entry by
+    entry as the old hessian_signature did: eps_i L_J l_i - l_i^2 on the
+    diagonal and -l_i l_j off it."""
+    n = len(entries)
+    exc = oracle_excess(entries, [i + 1 for i in range(n) if subset >> i & 1])
+    eps = [1 if subset >> i & 1 else -1 for i in range(n)]
+    l = entries
+    return [
+        [eps[i] * exc * l[i] - l[i] * l[i] if i == j else -l[i] * l[j] for j in range(n)]
+        for i in range(n)
+    ]

@@ -168,6 +168,14 @@ class TestVerify:
         code, _, err = invoke("verify", "--l", "1,1,2", "--d", "3")
         assert code == 1
 
+    def test_collinear_space_rejected_before_realization(self):
+        # find_polygon closes (1,2,3,6) collinearly, but the median top side
+        # stops verify in critical_data first
+        code, out, err = invoke("verify", "--l", "1,2,3,6", "--d", "3", "--json")
+        assert code == 1
+        assert out == ""
+        assert "median" in err
+
     def test_huge_entries(self):
         big = 10**400
         code, out, err = invoke(

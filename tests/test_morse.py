@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import BOUNDARY_VECTORS, length_vectors, oracle_excess, oracle_top_excess
+from helpers import (
+    BOUNDARY_VECTORS,
+    length_vectors,
+    oracle_excess,
+    oracle_hessian_form,
+    oracle_integer_inertia,
+    oracle_top_excess,
+)
 from polygonspaces import (
     EmptySpaceCertificate,
     LengthVector,
@@ -19,18 +27,20 @@ from polygonspaces import (
     hessian_matrix,
     hessian_signature,
     indices_of_mask,
+    is_generic,
     jacobian_rank,
     lacunary_consistency,
     mask_from_indices,
     parse_length_vector,
 )
 from polygonspaces.errors import (
+    ConvergenceFailure,
     DegenerateConfiguration,
     NonUnitInput,
     NotGeneric,
     SubsetNotLong,
 )
-from polygonspaces.morse import _as_floats, _integer_inertia
+from polygonspaces.morse import _as_floats, _diagonal_minus_rank_one_inertia
 
 
 def triangle_config():
@@ -116,14 +126,26 @@ class TestFindPolygon:
         else:
             assert out.residual < 1e-9 * lv.total
 
-    def test_degenerate_closure_fails_honestly(self):
-        # (1,1,2) closes only collinearly; descent stalls and must say so
-        from polygonspaces.errors import ConvergenceFailure
+    @pytest.mark.parametrize("text", ["1,1,2", "1,2,3,6"])
+    def test_degenerate_closure_is_collinear(self, text):
+        # the top side is exactly median: the space is one collinear closure
+        lv = parse_length_vector(text)
+        cfg = find_polygon(lv, 3, seed=0)
+        assert isinstance(cfg, PolygonConfiguration)
+        expected = np.zeros((lv.n, 3))
+        expected[:, 0] = -1.0
+        expected[-1, 0] = 1.0
+        assert np.array_equal(cfg.u, expected)
+        assert cfg.residual == 0.0
+        assert (cfg.sweeps, cfg.restarts) == (0, 0)
+        assert energy(lv, cfg) == 0.0
 
+    def test_convergence_failure_reports_best_residual(self):
+        # a zero target is never met: descent must give up and say how close
         with pytest.raises(ConvergenceFailure) as info:
-            find_polygon(parse_length_vector("1,1,2"), 3, seed=0)
+            find_polygon(parse_length_vector("1,2,2,3,5"), 3, tol=0.0, max_restarts=2)
         assert info.value.best_residual is not None
-        assert info.value.best_residual < 0.1
+        assert 0.0 <= info.value.best_residual < 1e-9 * 13
 
     def test_huge_entries_are_rescaled(self):
         # 10^400 overflows a float; the solver works on an exact 2^-k rescale
@@ -200,11 +222,72 @@ class TestHessian:
         k = int(rng.integers(1, 7))
         m = rng.integers(-6, 7, size=(k, k))
         m = m + m.T
-        pos, neg, zero = _integer_inertia([[int(v) for v in row] for row in m])
+        pos, neg, zero = oracle_integer_inertia([[int(v) for v in row] for row in m])
         eig = np.linalg.eigvalsh(m.astype(float))
         assert pos == int(np.sum(eig > 1e-9))
         assert neg == int(np.sum(eig < -1e-9))
         assert zero == k - pos - neg
+
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            tuple(sorted(random.Random(100 * n + seed).randint(1, high) for _ in range(n)))
+            for n in range(3, 10)
+            for high in (60, 10**6)
+            for seed in range(3)
+        ]
+        + BOUNDARY_VECTORS,
+    )
+    def test_matches_eliminator_oracle(self, entries):
+        lv = LengthVector(entries)
+        for subset in range(1, 1 << lv.n):
+            if oracle_excess(entries, indices_of_mask(subset)) > 0:
+                expected = oracle_integer_inertia(oracle_hessian_form(entries, subset))
+                assert hessian_signature(lv, subset) == expected
+
+    def test_diagonal_minus_rank_one_against_oracle(self):
+        rng = random.Random(2011)
+        seen = set()
+        for trial in range(600):
+            k = rng.randint(1, 6)
+            diag = [rng.choice((-1, 1)) * rng.randint(1, 30) for _ in range(k)]
+            v = [rng.randint(-12, 12) for _ in range(k)]
+            if trial % 3 == 0:
+                # choose the last pair so that 1 - sum v_i^2 / d_i is zero
+                rest = 1 - sum(Fraction(x * x, d) for d, x in zip(diag[:-1], v[:-1]))
+                if rest:
+                    v[-1] = rest.numerator
+                    diag[-1] = rest.numerator * rest.denominator
+            sigma = 1 - sum(Fraction(x * x, d) for d, x in zip(diag, v))
+            seen.add((sigma > 0) - (sigma < 0))
+            matrix = [
+                [(diag[i] if i == j else 0) - v[i] * v[j] for j in range(k)]
+                for i in range(k)
+            ]
+            assert _diagonal_minus_rank_one_inertia(diag, v) == oracle_integer_inertia(
+                matrix
+            )
+        assert seen == {-1, 0, 1}
+
+    def test_diagonal_must_be_nonsingular(self):
+        with pytest.raises(ValueError):
+            _diagonal_minus_rank_one_inertia([2, 0, -1], [1, 1, 1])
+
+    def test_multiply_matches_fraction_products(self):
+        rng = random.Random(5)
+        lv = parse_length_vector("1,2,2,3,5,9")
+        for subset in (mask_from_indices((5, 6)), mask_from_indices((2, 3, 6)), 63):
+            H = hessian_matrix(lv, subset)
+            for _ in range(20):
+                vec = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(6)]
+                vec[rng.randrange(6)] = rng.randint(-9, 9)
+                expected = tuple(
+                    sum(a * Fraction(v) for a, v in zip(row, vec)) for row in H.entries
+                )
+                got = H.multiply(vec)
+                assert got == expected
+                assert all(type(x) is Fraction for x in got)
 
 
 class TestCriticalData:
@@ -245,6 +328,19 @@ class TestCriticalData:
     def test_nongeneric_rejected(self):
         with pytest.raises(NotGeneric):
             critical_data(parse_length_vector("1,1,2"), 3)
+
+    def test_index_law_at_sixteen_sides(self):
+        rng = random.Random(16)
+        while True:
+            entries = tuple(sorted(rng.randint(1, 10**6) for _ in range(16)))
+            lv = LengthVector(entries)
+            if is_generic(lv):
+                break
+        recs = critical_data(lv, 3)
+        assert len(recs) == 2**15
+        for r in recs:
+            size = r.subset.bit_count()
+            assert r.hessian_signature == (size - 1, 16 - size, 1)
 
     def test_energy_at_aligned_configuration_matches(self):
         lv = parse_length_vector("1,2,2,2,4,4")
