@@ -13,14 +13,11 @@ from .chambers import (
     CensusResult,
     ChamberComparison,
     ChamberSignature,
-    StratumSignature,
     chamber_signature,
     enumerate_chambers,
     realize_signature,
     same_chamber,
     same_chamber_up_to_permutation,
-    same_stratum,
-    stratum_signature,
 )
 from .cohomology import (
     BettiTable,
@@ -77,7 +74,6 @@ __all__ = [
     "PairVerdict",
     "PolygonConfiguration",
     "RingPresentation",
-    "StratumSignature",
     "SubsetClass",
     "betti_table",
     "chamber_signature",
@@ -108,8 +104,6 @@ __all__ = [
     "rings_isomorphic_bruteforce",
     "same_chamber",
     "same_chamber_up_to_permutation",
-    "same_stratum",
     "short_median_counts",
-    "stratum_signature",
     "__version__",
 ]

@@ -21,7 +21,6 @@ from .errors import (
     CertificateFailure,
     DimensionMismatch,
     MalformedCandidate,
-    NotGeneric,
     NotOrdered,
     OutOfRange,
 )
@@ -88,43 +87,18 @@ class ChamberSignature:
         ]
 
 
-@dataclass(frozen=True)
-class StratumSignature:
-    """Three-valued refinement of a chamber signature (medians recorded)."""
-
-    n: int
-    short_family: frozenset[int]
-    median_family: frozenset[int]
-
-    def to_chamber_signature(self) -> ChamberSignature:
-        if self.median_family:
-            raise NotGeneric("stratum records median subsets; not a chamber")
-        return ChamberSignature(self.n, self.short_family)
-
-
 class ChamberComparison(NamedTuple):
     same: bool
     #: subset containing n that is short for exactly one side, or None
     witness: int | None
 
 
-def chamber_signature(lv: LengthVector, max_n: int | None = None) -> ChamberSignature:
+def chamber_signature(lv: LengthVector) -> ChamberSignature:
     if not lv.is_ordered:
         raise NotOrdered(f"{lv} is not nondecreasing")
-    exc = top_excess(lv, max_n)
+    exc = top_excess(lv)
     reject_median(lv, exc)
     return ChamberSignature(lv.n, frozenset(np.flatnonzero(exc < 0).tolist()))
-
-
-def stratum_signature(lv: LengthVector, max_n: int | None = None) -> StratumSignature:
-    if not lv.is_ordered:
-        raise NotOrdered(f"{lv} is not nondecreasing")
-    exc = top_excess(lv, max_n)
-    return StratumSignature(
-        lv.n,
-        frozenset(np.flatnonzero(exc < 0).tolist()),
-        frozenset(np.flatnonzero(exc == 0).tolist()),
-    )
 
 
 def _compare(a: ChamberSignature, b: ChamberSignature) -> ChamberComparison:
@@ -134,34 +108,24 @@ def _compare(a: ChamberSignature, b: ChamberSignature) -> ChamberComparison:
     return ChamberComparison(False, smallest | 1 << (a.n - 1))
 
 
-def same_chamber(
-    first: LengthVector, second: LengthVector, max_n: int | None = None
-) -> ChamberComparison:
+def same_chamber(first: LengthVector, second: LengthVector) -> ChamberComparison:
     """Compare two ordered generic vectors; the witness is the smallest
     distinguishing subset (index-tuple order) with n adjoined."""
     if first.n != second.n:
         raise DimensionMismatch(f"n={first.n} vs n={second.n}")
-    return _compare(chamber_signature(first, max_n), chamber_signature(second, max_n))
+    return _compare(chamber_signature(first), chamber_signature(second))
 
 
 def same_chamber_up_to_permutation(
-    first: LengthVector, second: LengthVector, max_n: int | None = None
+    first: LengthVector, second: LengthVector
 ) -> ChamberComparison:
     """Sort both vectors, then compare chambers; sorting loses nothing."""
     if first.n != second.n:
         raise DimensionMismatch(f"n={first.n} vs n={second.n}")
     return _compare(
-        chamber_signature(first.ordered()[0], max_n),
-        chamber_signature(second.ordered()[0], max_n),
+        chamber_signature(first.ordered()[0]),
+        chamber_signature(second.ordered()[0]),
     )
-
-
-def same_stratum(
-    first: LengthVector, second: LengthVector, max_n: int | None = None
-) -> bool:
-    if first.n != second.n:
-        raise DimensionMismatch(f"n={first.n} vs n={second.n}")
-    return stratum_signature(first, max_n) == stratum_signature(second, max_n)
 
 
 # ---------------------------------------------------------------------------

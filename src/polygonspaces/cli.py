@@ -1,7 +1,8 @@
 """Command-line surface: betti, ring, compare, census, verify, classify-file.
 
 Exit codes: 0 success, 1 input error, 2 mathematically empty result
-(empty space), 3 internal limits and failures (caps, solver, certificates).
+(empty space), 3 internal limits and failures (caps, solver, certificates,
+memory).
 """
 
 from __future__ import annotations
@@ -55,11 +56,13 @@ _INPUT_ERRORS = (
     UnsupportedDimension,
     MalformedCandidate,
     OSError,
+    UnicodeDecodeError,
 )
 #: every other typed error: caps and census range (OutOfRange,
 #: SearchTooLarge), solver and float failures (ConvergenceFailure,
-#: DegenerateConfiguration), failed exact certificates (CertificateFailure)
-_LIMIT_ERRORS = (PolygonSpacesError,)
+#: DegenerateConfiguration), failed exact certificates (CertificateFailure);
+#: and allocations no machine can serve, such as a huge --d in verify
+_LIMIT_ERRORS = (PolygonSpacesError, MemoryError)
 
 
 class _UsageError(Exception):
@@ -99,9 +102,9 @@ def _read_vector_file(path: str) -> list[LengthVector]:
 # subcommands
 
 
-def _cohomology_doc(lv: LengthVector, d: int, max_n: int | None) -> tuple[dict, bool]:
-    table = betti_table(lv, d, max_n)
-    ring = ring_presentation(lv, d, max_n)
+def _cohomology_doc(lv: LengthVector, d: int) -> tuple[dict, bool]:
+    table = betti_table(lv, d)
+    ring = ring_presentation(lv, d)
     doc = table.to_json_obj()
     doc["ring"] = ring.to_json_obj()
     empty = not table.dims
@@ -111,7 +114,7 @@ def _cohomology_doc(lv: LengthVector, d: int, max_n: int | None) -> tuple[dict, 
 def _cmd_betti(args: argparse.Namespace, out: TextIO) -> int:
     d = _require_d(args)
     lv = parse_length_vector(args.l).ordered()[0]
-    doc, empty = _cohomology_doc(lv, d, args.max_n)
+    doc, empty = _cohomology_doc(lv, d)
     if args.json:
         _emit_json(doc, out)
     else:
@@ -126,7 +129,7 @@ def _cmd_betti(args: argparse.Namespace, out: TextIO) -> int:
         if doc["note"]:
             out.write(f"note: {doc['note']}\n")
         try:
-            tag = recognize_special(lv, d, args.max_n)
+            tag = recognize_special(lv, d)
         except NotGeneric:
             tag = None
         if tag:
@@ -137,7 +140,7 @@ def _cmd_betti(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_ring(args: argparse.Namespace, out: TextIO) -> int:
     d = _require_d(args)
     lv = parse_length_vector(args.l).ordered()[0]
-    doc, empty = _cohomology_doc(lv, d, args.max_n)
+    doc, empty = _cohomology_doc(lv, d)
     if args.json:
         _emit_json(doc, out)
     else:
@@ -171,7 +174,7 @@ def _cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
     d = _require_d(args)
     first = parse_length_vector(args.l)
     second = parse_length_vector(args.l2)
-    verdict = classify_pair(first, second, d, args.max_n)
+    verdict = classify_pair(first, second, d)
     if args.json:
         _emit_json(
             {
@@ -209,7 +212,7 @@ def _cmd_census(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     d = _require_d(args)
     lv = parse_length_vector(args.l).ordered()[0]
-    records = critical_data(lv, d, args.max_n)
+    records = critical_data(lv, d)
     solved = find_polygon(lv, d, seed=args.seed)
     doc = {
         "n": lv.n,
@@ -224,7 +227,7 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
             }
             for r in records
         ],
-        "lacunary_consistent": lacunary_consistency(lv, d, args.max_n),
+        "lacunary_consistent": lacunary_consistency(lv, d),
     }
     empty = isinstance(solved, EmptySpaceCertificate)
     if empty:
@@ -282,7 +285,7 @@ def _cmd_classify_file(args: argparse.Namespace, out: TextIO) -> int:
     pairs = []
     for i in range(k):
         for j in range(i + 1, k):
-            verdict = classify_pair(vectors[i], vectors[j], d, args.max_n)
+            verdict = classify_pair(vectors[i], vectors[j], d)
             diffeo[i][j] = diffeo[j][i] = verdict.diffeomorphic
             betti_eq[i][j] = betti_eq[j][i] = verdict.betti_equal
             pairs.append((i, j, verdict))
@@ -323,7 +326,6 @@ _FLAGS = {
     "--d": dict(type=int, required=True, help="ambient dimension, >= 3"),
     "--json": dict(action="store_true", help="machine-readable output"),
     "--seed": dict(type=int, default=0, help="PRNG seed for realization"),
-    "--max-n": dict(type=int, help="override the subset-enumeration cap (default 24)"),
 }
 
 
@@ -340,18 +342,18 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("betti", help="Z2 Betti table of one vector")
     p.add_argument("--l", required=True, help="comma/space separated side lengths")
-    _add_flags(p, "--d", "--json", "--max-n")
+    _add_flags(p, "--d", "--json")
     p.set_defaults(handler=_cmd_betti)
 
     p = subs.add_parser("ring", help="cohomology ring presentation")
     p.add_argument("--l", required=True)
-    _add_flags(p, "--d", "--json", "--max-n")
+    _add_flags(p, "--d", "--json")
     p.set_defaults(handler=_cmd_ring)
 
     p = subs.add_parser("compare", help="diffeomorphism verdict for a pair")
     p.add_argument("--l", required=True)
     p.add_argument("--l2", required=True)
-    _add_flags(p, "--d", "--json", "--max-n")
+    _add_flags(p, "--d", "--json")
     p.set_defaults(handler=_cmd_compare)
 
     p = subs.add_parser("census", help="all chambers for small n")
@@ -361,12 +363,12 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("verify", help="critical data, realization, rank test")
     p.add_argument("--l", required=True)
-    _add_flags(p, "--d", "--json", "--seed", "--max-n")
+    _add_flags(p, "--d", "--json", "--seed")
     p.set_defaults(handler=_cmd_verify)
 
     p = subs.add_parser("classify-file", help="pairwise verdicts for a vector file")
     p.add_argument("--file", required=True, help="one vector per line, # comments")
-    _add_flags(p, "--d", "--json", "--max-n")
+    _add_flags(p, "--d", "--json")
     p.set_defaults(handler=_cmd_classify_file)
 
     return parser
@@ -394,7 +396,7 @@ def run(
         err.write(f"error: {exc}\n")
         return EXIT_INPUT
     except _LIMIT_ERRORS as exc:
-        err.write(f"limit: {exc}\n")
+        err.write(f"limit: {str(exc) or type(exc).__name__}\n")
         return EXIT_LIMIT
 
 

@@ -38,13 +38,11 @@ def _require_dimension(d: int) -> None:
         raise UnsupportedDimension(f"the classification needs d >= 3, got {d}")
 
 
-def short_median_counts(
-    lv: LengthVector, max_n: int | None = None
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def short_median_counts(lv: LengthVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """a_k / b_k: short / median subsets containing n with k+1 elements."""
     if not lv.is_ordered:
         raise NotOrdered(f"{lv} is not nondecreasing")
-    exc = top_excess(lv, max_n)
+    exc = top_excess(lv)
     sizes = subset_sizes(lv.n - 1)
     a = np.bincount(sizes[exc < 0], minlength=lv.n)
     b = np.bincount(sizes[exc == 0], minlength=lv.n)
@@ -84,7 +82,7 @@ class BettiTable:
         }
 
 
-def betti_table(lv: LengthVector, d: int, max_n: int | None = None) -> BettiTable:
+def betti_table(lv: LengthVector, d: int) -> BettiTable:
     """Z2 Betti numbers from the a/b counts; ordering required, genericity not.
 
     Degrees (d-1)k carry a_k+b_k+a_{k-1}+b_{k-1} for k = 0..n-2, degrees
@@ -93,7 +91,7 @@ def betti_table(lv: LengthVector, d: int, max_n: int | None = None) -> BettiTabl
     formula does not need genericity.
     """
     _require_dimension(d)
-    a, b = short_median_counts(lv, max_n)
+    a, b = short_median_counts(lv)
     n = lv.n
 
     def av(k: int) -> int:
@@ -115,13 +113,13 @@ def betti_table(lv: LengthVector, d: int, max_n: int | None = None) -> BettiTabl
     return BettiTable(n, d, a, b, dims, (n - 1) * (d - 1) - 1, note)
 
 
-def poincare_polynomial(lv: LengthVector, d: int, max_n: int | None = None) -> list[int]:
+def poincare_polynomial(lv: LengthVector, d: int) -> list[int]:
     """Coefficient list of sum dims[i] t^i, length manifold_dim + 1."""
-    return betti_table(lv, d, max_n).poincare_coefficients()
+    return betti_table(lv, d).poincare_coefficients()
 
 
-def euler_characteristic(lv: LengthVector, d: int, max_n: int | None = None) -> int:
-    return betti_table(lv, d, max_n).euler
+def euler_characteristic(lv: LengthVector, d: int) -> int:
+    return betti_table(lv, d).euler
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +161,11 @@ class RingPresentation:
         }
 
 
-def ring_presentation(lv: LengthVector, d: int, max_n: int | None = None) -> RingPresentation:
+def ring_presentation(lv: LengthVector, d: int) -> RingPresentation:
     if not lv.is_ordered:
         raise NotOrdered(f"{lv} is not nondecreasing")
     _require_dimension(d)
-    long = top_excess(lv, max_n) > 0
+    long = top_excess(lv) > 0
     # minimal: long, and long after no single deletion
     minimal = long.copy()
     for i in range(lv.n - 1):
@@ -179,9 +177,7 @@ def ring_presentation(lv: LengthVector, d: int, max_n: int | None = None) -> Rin
     return RingPresentation(lv.n, d, pruned, tuple(generators))
 
 
-def quotient_basis_dimensions(
-    lv: LengthVector, d: int, max_n: int | None = None
-) -> dict[int, int]:
+def quotient_basis_dimensions(lv: LengthVector, d: int) -> dict[int, int]:
     """Dimension of the quotient in degree (d-1)k, keyed by k.
 
     Counts the square-free monomials Z_S killed by no ideal generator,
@@ -191,7 +187,7 @@ def quotient_basis_dimensions(
     if not lv.is_ordered:
         raise NotOrdered(f"{lv} is not nondecreasing")
     _require_dimension(d)
-    exc = top_excess(lv, max_n)
+    exc = top_excess(lv)
     # S = J and S = J union {n} both survive
     by_size = np.bincount(subset_sizes(lv.n - 1)[exc <= 0], minlength=lv.n).tolist()
     dims = [a + b for a, b in zip(by_size + [0], [0] + by_size)]
@@ -280,9 +276,7 @@ class PairVerdict:
     notes: str = ""
 
 
-def classify_pair(
-    first: LengthVector, second: LengthVector, d: int, max_n: int | None = None
-) -> PairVerdict:
+def classify_pair(first: LengthVector, second: LengthVector, d: int) -> PairVerdict:
     """Equivalence verdict for two generic vectors of the same n.
 
     The verdict is decided by the chamber comparison after sorting; the
@@ -293,8 +287,8 @@ def classify_pair(
         raise DimensionMismatch(f"n={first.n} vs n={second.n}")
     s1 = first.ordered()[0]
     s2 = second.ordered()[0]
-    cmp = same_chamber_up_to_permutation(s1, s2, max_n)
-    betti_equal = betti_table(s1, d, max_n).dims == betti_table(s2, d, max_n).dims
+    cmp = same_chamber_up_to_permutation(s1, s2)
+    betti_equal = betti_table(s1, d).dims == betti_table(s2, d).dims
     if cmp.same:
         notes = "same chamber after sorting"
     elif betti_equal:
@@ -304,7 +298,7 @@ def classify_pair(
     return PairVerdict(cmp.same, betti_equal, cmp.witness, notes)
 
 
-def recognize_special(lv: LengthVector, d: int, max_n: int | None = None) -> str | None:
+def recognize_special(lv: LengthVector, d: int) -> str | None:
     """Tag the two chamber families whose manifolds are named products.
 
     "stiefel_times_spheres": nonempty with {n-2, n-1} long, the unique
@@ -312,7 +306,7 @@ def recognize_special(lv: LengthVector, d: int, max_n: int | None = None) -> str
     the chamber where only the singleton {n} is short, n >= 4.
     """
     _require_dimension(d)
-    sig = chamber_signature(lv, max_n)  # enforces ordered + generic
+    sig = chamber_signature(lv)  # enforces ordered + generic
     if sig.is_empty_space:
         return None
     n = lv.n

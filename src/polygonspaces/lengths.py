@@ -27,18 +27,14 @@ from .errors import (
     TooFewEntries,
 )
 
-#: default guard on 2^(n-1) subset scans, overridable per call via ``max_n``
-DEFAULT_MAX_ENUM_N = 24
+#: guard on 2^(n-1) subset scans
+MAX_ENUM_N = 24
 
 
-def check_enumeration_width(n: int, max_n: int | None = None) -> None:
-    """Refuse exponential scans beyond the configured cap."""
-    limit = DEFAULT_MAX_ENUM_N if max_n is None else max_n
-    if n > limit:
-        raise OutOfRange(
-            f"n={n} exceeds the subset-enumeration cap {limit}; "
-            "pass a larger max_n to override"
-        )
+def check_enumeration_width(n: int) -> None:
+    """Refuse exponential scans beyond the cap, before any allocation."""
+    if n > MAX_ENUM_N:
+        raise OutOfRange(f"n={n} exceeds the subset-enumeration cap {MAX_ENUM_N}")
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +214,14 @@ def classify_subset(lv: LengthVector, mask: int) -> SubsetClass:
     return SubsetClass(Kind.MEDIAN, e)
 
 
-def top_excess(lv: LengthVector, max_n: int | None = None) -> np.ndarray:
+def top_excess(lv: LengthVector) -> np.ndarray:
     """Excess 2(l_J + l_n) - L of J union {n} for every J inside {1..n-1}.
 
     Indexed by the mask of J.  The one subset scan everything else is
     built on: int64 when 2L < 2^63, so that no intermediate can wrap, and
     exact Python ints (dtype ``object``) otherwise.
     """
-    check_enumeration_width(lv.n, max_n)
+    check_enumeration_width(lv.n)
     total = lv.total
     sums = subset_sums(lv.entries[:-1], np.int64 if 2 * total < 2**63 else object)
     return 2 * (sums + lv.entries[-1]) - total
@@ -239,7 +235,7 @@ def reject_median(lv: LengthVector, exc: np.ndarray) -> None:
         raise NotGeneric(f"{lv} has the median subset {indices_of_mask(mask)}")
 
 
-def is_generic(lv: LengthVector, max_n: int | None = None) -> bool:
+def is_generic(lv: LengthVector) -> bool:
     """True when no subset sums to exactly half the perimeter.
 
     Only the 2^(n-1) subsets containing n are scanned; a subset is median
@@ -247,13 +243,11 @@ def is_generic(lv: LengthVector, max_n: int | None = None) -> bool:
     """
     if lv.total % 2:  # an odd integer total cannot split in half
         return True
-    return bool(np.all(top_excess(lv, max_n) != 0))
+    return bool(np.all(top_excess(lv) != 0))
 
 
-def long_subsets_containing_n(
-    lv: LengthVector, max_n: int | None = None
-) -> Iterator[int]:
+def long_subsets_containing_n(lv: LengthVector) -> Iterator[int]:
     """Yield every long subset containing index n, in ascending mask order."""
     if not lv.is_ordered:
         raise NotOrdered("the long-subset stream requires an ordered vector")
-    yield from (np.flatnonzero(top_excess(lv, max_n) > 0) | 1 << (lv.n - 1)).tolist()
+    yield from (np.flatnonzero(top_excess(lv) > 0) | 1 << (lv.n - 1)).tolist()

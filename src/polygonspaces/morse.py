@@ -51,7 +51,6 @@ class PolygonConfiguration:
     residual: float
     sweeps: int = 0
     restarts: int = 0
-    residual_history: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.u.ndim != 2 or self.u.shape[1] != self.d:
@@ -98,7 +97,6 @@ def find_polygon(
     tol: float = RESIDUAL_TOL,
     max_restarts: int = 8,
     max_sweeps: int = 2000,
-    record_history: bool = False,
 ) -> PolygonConfiguration | EmptySpaceCertificate:
     """Close the polygon numerically, or certify that none exists.
 
@@ -124,7 +122,7 @@ def find_polygon(
         u[:, 0] = -1.0
         u[top, 0] = 1.0
         res = float(np.linalg.norm(lengths @ u))
-        return PolygonConfiguration(d, u, res, 0, 0, () if record_history else None)
+        return PolygonConfiguration(d, u, res)
     target = tol * perimeter
     rng = np.random.default_rng(seed)
     best = math.inf
@@ -132,7 +130,6 @@ def find_polygon(
     for restart in range(max_restarts):
         u = rng.normal(size=(n, d))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        history: list[float] = []
         checkpoint = math.inf
         for sweep in range(1, max_sweeps + 1):
             total = lengths @ u  # refreshed once a sweep against drift
@@ -144,17 +141,8 @@ def find_polygon(
                     total = s + lengths[j] * u[j]
             res = float(np.linalg.norm(lengths @ u))
             total_sweeps += 1
-            if record_history:
-                history.append(res)
             if res < target:
-                return PolygonConfiguration(
-                    d,
-                    u.copy(),
-                    res,
-                    total_sweeps,
-                    restart,
-                    tuple(history) if record_history else None,
-                )
+                return PolygonConfiguration(d, u.copy(), res, total_sweeps, restart)
             if sweep % 50 == 0:  # stalled near a saddle: restart
                 if res * 1.5 > checkpoint:
                     break
@@ -268,9 +256,7 @@ class CriticalSubmanifoldData:
     hessian_signature: tuple[int, int, int]
 
 
-def critical_data(
-    lv: LengthVector, d: int, max_n: int | None = None
-) -> list[CriticalSubmanifoldData]:
+def critical_data(lv: LengthVector, d: int) -> list[CriticalSubmanifoldData]:
     """One record per complementary pair, labeled by its long side.
 
     Generic vectors only: a median pair would sit on the zero level and
@@ -279,7 +265,7 @@ def critical_data(
     """
     if d < 2:
         raise UnsupportedDimension(f"directions need d >= 2, got {d}")
-    exc = top_excess(lv, max_n)
+    exc = top_excess(lv)
     reject_median(lv, exc)
     n = lv.n
     hi = 1 << (n - 1)
@@ -333,11 +319,11 @@ def jacobian_rank(lv: LengthVector, config: PolygonConfiguration) -> int:
 # complement homology bookkeeping
 
 
-def _long_side_sizes(lv: LengthVector, d: int, max_n: int | None) -> list[int]:
+def _long_side_sizes(lv: LengthVector, d: int) -> list[int]:
     """Number of complementary pairs whose long side has k elements, k = 0..n."""
     if d < 3:
         raise UnsupportedDimension(f"needs d >= 3, got {d}")
-    exc = top_excess(lv, max_n)
+    exc = top_excess(lv)
     reject_median(lv, exc)
     sizes = subset_sizes(lv.n - 1)
     long_sizes = np.where(exc > 0, sizes + 1, lv.n - 1 - sizes)
@@ -356,15 +342,13 @@ def _complement_polynomial(n: int, d: int, by_size: list[int]) -> list[int]:
     return coeffs
 
 
-def complement_poincare_polynomial(
-    lv: LengthVector, d: int, max_n: int | None = None
-) -> list[int]:
+def complement_poincare_polynomial(lv: LengthVector, d: int) -> list[int]:
     """Poincare polynomial of the off-zero region: each long subset
     contributes t^{(d-1)(n-|J|)} (1 + t^{d-1})."""
-    return _complement_polynomial(lv.n, d, _long_side_sizes(lv, d, max_n))
+    return _complement_polynomial(lv.n, d, _long_side_sizes(lv, d))
 
 
-def lacunary_consistency(lv: LengthVector, d: int, max_n: int | None = None) -> bool:
+def lacunary_consistency(lv: LengthVector, d: int) -> bool:
     """Check the complement polynomial against direct size counts.
 
     The t^{(d-1)k} coefficient must equal the number of long subsets of
@@ -372,7 +356,7 @@ def lacunary_consistency(lv: LengthVector, d: int, max_n: int | None = None) -> 
     appear in degrees not divisible by d-1.
     """
     n = lv.n
-    by_size = _long_side_sizes(lv, d, max_n)
+    by_size = _long_side_sizes(lv, d)
     poly = _complement_polynomial(n, d, by_size)
     by_size = by_size + [0]
     padded = poly + [0] * ((d - 1) * n + 1 - len(poly))

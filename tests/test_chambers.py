@@ -22,8 +22,6 @@ from polygonspaces import (
     realize_signature,
     same_chamber,
     same_chamber_up_to_permutation,
-    same_stratum,
-    stratum_signature,
 )
 from polygonspaces.errors import (
     CertificateFailure,
@@ -92,15 +90,11 @@ class TestSignature:
         lv = LengthVector(entries)
         short = {m for m, e in enumerate(oracle_top_excess(entries)) if e < 0}
         assert chamber_signature(lv).short_family == short
-        strat = stratum_signature(lv)
-        assert strat.short_family == short
-        assert strat.median_family == frozenset()
 
     def test_median_named_across_the_boundary(self):
         lv = LengthVector((1, 2**62 - 1, 2**62))
         with pytest.raises(NotGeneric, match=r"median subset \(3,\)"):
             chamber_signature(lv)
-        assert stratum_signature(lv).median_family == {0}
 
     def test_canonical_bytes_deterministic(self):
         a = chamber_signature(parse_length_vector("1,2,2,2,4,4"))
@@ -147,25 +141,6 @@ class TestComparison:
         assert verdict.witness == mask_from_indices((3,))
 
 
-class TestStratum:
-    def test_scaling(self):
-        assert same_stratum(parse_length_vector("1,1,2"), parse_length_vector("2,2,4"))
-
-    def test_distinct_vectors_same_stratum(self):
-        assert same_stratum(parse_length_vector("1,1,2"), parse_length_vector("1,2,3"))
-
-    def test_median_versus_generic(self):
-        assert not same_stratum(
-            parse_length_vector("1,1,2"), parse_length_vector("1,1,1")
-        )
-
-    def test_reduces_to_chamber_when_generic(self):
-        lv = parse_length_vector("1,2,2,2,4,4")
-        strat = stratum_signature(lv)
-        assert strat.median_family == frozenset()
-        assert strat.to_chamber_signature() == chamber_signature(lv)
-
-
 class TestRealize:
     def test_triangle_family(self):
         rep = realize_signature(ChamberSignature(3, frozenset({0})))
@@ -194,7 +169,7 @@ class TestRealize:
         monkeypatch.setattr(
             chambers,
             "chamber_signature",
-            lambda lv, max_n=None: ChamberSignature(lv.n, frozenset()),
+            lambda lv: ChamberSignature(lv.n, frozenset()),
         )
         with pytest.raises(CertificateFailure):
             realize_signature(ChamberSignature(3, frozenset({0})))

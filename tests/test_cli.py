@@ -1,6 +1,10 @@
 import io
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import length_vectors, oracle_top_excess
 from polygonspaces import chamber_signature, cli, parse_length_vector
 from polygonspaces.cli import run
 from polygonspaces.errors import DegenerateConfiguration
@@ -187,6 +191,17 @@ class TestVerify:
         assert doc["lacunary_consistent"] is True
         assert doc["jacobian_rank"] == 3
 
+    def test_unallocatable_dimension_is_a_limit(self):
+        # 10^15 * n * 8 bytes exceeds any 64-bit address space, so the
+        # allocation fails at once: in find_polygon's direction array for
+        # the hexagon, in the complement polynomial for the empty triangle
+        for entries in ("1,2,2,2,4,4", "1,1,5"):
+            code, out, err = invoke("verify", "--d", str(10**15), "--l", entries)
+            assert code == 3
+            assert out == ""
+            assert err.startswith("limit: ")
+            assert "Traceback" not in err
+
     def test_degenerate_configuration_is_a_limit(self, monkeypatch):
         def degenerate(lv, config):
             raise DegenerateConfiguration("a partial sum vanishes")
@@ -231,6 +246,14 @@ class TestClassifyFile:
         code, _, err = invoke("classify-file", "--file", "/nonexistent", "--d", "3")
         assert code == 1
 
+    def test_non_utf8_file_is_input_error(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(b"\xff\xfe1,2,2,2,4,4\n")
+        code, out, err = invoke("classify-file", "--file", str(path), "--d", "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "utf-8" in err
+
 
 class TestUsage:
     def test_no_command(self):
@@ -257,6 +280,70 @@ class TestUsage:
         assert invoke("betti", "--l", "0,1,1", "--d", "3")[0] == 1
 
     def test_max_n_guard(self):
-        code, _, err = invoke("betti", "--l", "1,1,1,7", "--d", "3", "--max-n", "3")
+        # the cap n <= 24 is fixed: 25 sides with an even total are a limit
+        code, out, err = invoke("betti", "--l", ",".join(["1"] * 24 + ["2"]), "--d", "3")
         assert code == 3
-        assert "limit" in err
+        assert out == ""
+        assert err == "limit: n=25 exceeds the subset-enumeration cap 24\n"
+
+    def test_no_cap_override(self):
+        for argv in (
+            ("betti", "--l", "1,1,1", "--d", "3"),
+            ("ring", "--l", "1,1,1", "--d", "3"),
+            ("compare", "--l", "1,1,1", "--l2", "1,1,1", "--d", "3"),
+            ("census", "--n", "4"),
+            ("verify", "--l", "1,1,1", "--d", "3"),
+            ("classify-file", "--file", "/nonexistent", "--d", "3"),
+        ):
+            code, out, err = invoke(*argv, "--max-n", "30")
+            assert code == 1
+            assert out == ""
+            assert "usage error" in err
+
+
+def _scaled(entries, scale) -> str:
+    """The vector c * entries for c = p/q, as exact unreduced "num/q" strings."""
+    p, q = scale
+    return ",".join(f"{p * e}/{q}" for e in entries)
+
+
+#: c = p/q with p and q up to 10^400
+_SCALES = st.tuples(st.integers(1, 10**400), st.integers(1, 10**400))
+
+
+class TestScaleInvariance:
+    @given(st.data(), _SCALES, _SCALES, st.sampled_from([3, 4]))
+    @settings(max_examples=30)
+    def test_stdout_identical_under_rational_scaling(self, data, c, c2, d):
+        lv = data.draw(length_vectors(max_n=6, max_entry=60))
+        other = data.draw(length_vectors(min_n=lv.n, max_n=lv.n, max_entry=60))
+        plain = ",".join(map(str, lv.entries))
+        plain2 = ",".join(map(str, other.entries))
+        scaled, scaled2 = _scaled(lv.entries, c), _scaled(other.entries, c2)
+        for cmd in ("betti", "ring", "verify"):
+            args = (cmd, "--d", str(d), "--json", "--l")
+            assert invoke(*args, plain) == invoke(*args, scaled)
+        args = ("compare", "--d", str(d), "--json")
+        assert invoke(*args, "--l", plain, "--l2", plain2) == invoke(
+            *args, "--l", scaled, "--l2", scaled2
+        )
+
+    @given(
+        st.integers(0, 400),
+        st.lists(st.integers(1, 60), min_size=3, max_size=7),
+        st.lists(st.integers(1, 60), min_size=7, max_size=7),
+    )
+    @settings(max_examples=30)
+    def test_huge_entries_never_fail(self, k, offsets, offsets2):
+        first = [10**k + o for o in offsets]
+        second = [10**k + o for o in offsets2[: len(offsets)]]
+        code, _, err = invoke("betti", "--d", "3", "--l", ",".join(map(str, first)))
+        assert code in (0, 2) and err == ""
+        # compare rejects median subsets, so it needs two generic vectors
+        if all(e != 0 for v in (first, second) for e in oracle_top_excess(v)):
+            code, _, err = invoke(
+                "compare", "--d", "3", "--json",
+                "--l", ",".join(map(str, first)),
+                "--l2", ",".join(map(str, second)),
+            )
+            assert code == 0 and err == ""

@@ -25,7 +25,13 @@ from polygonspaces.errors import (
     OutOfRange,
     TooFewEntries,
 )
-from polygonspaces.lengths import mask_key, subset_sizes, subset_sums, top_excess
+from polygonspaces.lengths import (
+    MAX_ENUM_N,
+    mask_key,
+    subset_sizes,
+    subset_sums,
+    top_excess,
+)
 
 
 class TestParse:
@@ -135,8 +141,17 @@ class TestTopExcess:
         assert top_excess(lv).tolist() == oracle_top_excess(lv.entries)
 
     def test_cap_guard(self):
-        with pytest.raises(OutOfRange):
-            top_excess(LengthVector((1, 2, 3, 4)), max_n=3)
+        # 25 sides with an even total: refused before the 2^24-entry table
+        lv = LengthVector((1,) * 24 + (2,))
+        assert lv.total % 2 == 0
+        with pytest.raises(OutOfRange, match="^n=25 exceeds the subset-enumeration cap 24$"):
+            top_excess(lv)
+
+    def test_cap_admits_twenty_four_sides(self):
+        assert MAX_ENUM_N == 24
+        exc = top_excess(LengthVector((1,) * 23 + (3,)))
+        assert exc.size == 1 << 23
+        assert int(exc[0]) == 2 * 3 - 26 and int(exc[-1]) == 26
 
 
 class TestExcess:
@@ -180,10 +195,10 @@ class TestGenericity:
 
     def test_cap_guard(self):
         # even total, so the subset scan (and with it the cap) is reached
-        lv = LengthVector((1, 2, 3, 4, 5, 7))
+        lv = LengthVector((1,) * 24 + (2,))
+        assert lv.total % 2 == 0
         with pytest.raises(OutOfRange):
-            is_generic(lv, max_n=5)
-        assert is_generic(lv, max_n=6) in (True, False)
+            is_generic(lv)
 
     @pytest.mark.parametrize("entries", BOUNDARY_VECTORS)
     def test_boundary_vectors(self, entries):
@@ -199,7 +214,11 @@ class TestGenericity:
         # no subset of an odd-total vector can be median, at any n
         lv = LengthVector(tuple(range(1, 7)))
         assert lv.total % 2 == 1
-        assert is_generic(lv, max_n=3)
+        assert is_generic(lv)
+        # beyond the cap too: 26 sides with an odd total need no scan
+        wide = LengthVector((1,) * 25 + (2,))
+        assert wide.total % 2 == 1
+        assert is_generic(wide)
 
 
 class TestLongSubsetStream:

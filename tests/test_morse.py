@@ -108,10 +108,14 @@ class TestFindPolygon:
         assert np.array_equal(a.u, b.u)
 
     def test_monotone_residual_history(self):
+        # tol=0 is never met, so each run stops after exactly k sweeps of
+        # one start and reports the residual it reached there
         lv = parse_length_vector("1,2,2,3,5")
-        cfg = find_polygon(lv, 4, seed=3, record_history=True)
-        hist = cfg.residual_history
-        assert hist is not None
+        hist = []
+        for k in range(1, 41):
+            with pytest.raises(ConvergenceFailure) as info:
+                find_polygon(lv, 4, seed=3, tol=0.0, max_restarts=1, max_sweeps=k)
+            hist.append(info.value.best_residual)
         for earlier, later in zip(hist, hist[1:]):
             assert later <= earlier * (1 + 1e-12) + 1e-15 * lv.total
 
