@@ -16,7 +16,6 @@ from .chambers import (
     chamber_signature,
     enumerate_chambers,
     realize_signature,
-    same_chamber,
     same_chamber_up_to_permutation,
 )
 from .cohomology import (
@@ -25,8 +24,6 @@ from .cohomology import (
     RingPresentation,
     betti_table,
     classify_pair,
-    euler_characteristic,
-    poincare_polynomial,
     quotient_basis_dimensions,
     recognize_special,
     ring_presentation,
@@ -42,7 +39,6 @@ from .lengths import (
     excess,
     indices_of_mask,
     is_generic,
-    long_subsets_containing_n,
     mask_from_indices,
     parse_length_vector,
 )
@@ -84,7 +80,6 @@ __all__ = [
     "critical_data",
     "energy",
     "enumerate_chambers",
-    "euler_characteristic",
     "excess",
     "find_polygon",
     "hessian_matrix",
@@ -93,16 +88,13 @@ __all__ = [
     "is_generic",
     "jacobian_rank",
     "lacunary_consistency",
-    "long_subsets_containing_n",
     "mask_from_indices",
     "parse_length_vector",
-    "poincare_polynomial",
     "quotient_basis_dimensions",
     "realize_signature",
     "recognize_special",
     "ring_presentation",
     "rings_isomorphic_bruteforce",
-    "same_chamber",
     "same_chamber_up_to_permutation",
     "short_median_counts",
     "__version__",

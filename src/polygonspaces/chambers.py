@@ -101,31 +101,19 @@ def chamber_signature(lv: LengthVector) -> ChamberSignature:
     return ChamberSignature(lv.n, frozenset(np.flatnonzero(exc < 0).tolist()))
 
 
-def _compare(a: ChamberSignature, b: ChamberSignature) -> ChamberComparison:
-    if a.short_family == b.short_family:
-        return ChamberComparison(True, None)
-    smallest = min(a.short_family ^ b.short_family, key=mask_key)
-    return ChamberComparison(False, smallest | 1 << (a.n - 1))
-
-
-def same_chamber(first: LengthVector, second: LengthVector) -> ChamberComparison:
-    """Compare two ordered generic vectors; the witness is the smallest
-    distinguishing subset (index-tuple order) with n adjoined."""
-    if first.n != second.n:
-        raise DimensionMismatch(f"n={first.n} vs n={second.n}")
-    return _compare(chamber_signature(first), chamber_signature(second))
-
-
 def same_chamber_up_to_permutation(
     first: LengthVector, second: LengthVector
 ) -> ChamberComparison:
-    """Sort both vectors, then compare chambers; sorting loses nothing."""
+    """Sort both vectors, then compare chambers; sorting loses nothing.  The
+    witness is the smallest distinguishing subset (index-tuple order) with
+    n adjoined."""
     if first.n != second.n:
         raise DimensionMismatch(f"n={first.n} vs n={second.n}")
-    return _compare(
-        chamber_signature(first.ordered()[0]),
-        chamber_signature(second.ordered()[0]),
-    )
+    a = chamber_signature(first.ordered()[0]).short_family
+    b = chamber_signature(second.ordered()[0]).short_family
+    if a == b:
+        return ChamberComparison(True, None)
+    return ChamberComparison(False, min(a ^ b, key=mask_key) | 1 << (first.n - 1))
 
 
 # ---------------------------------------------------------------------------

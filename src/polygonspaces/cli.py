@@ -32,7 +32,7 @@ from .errors import (
     TooFewEntries,
     UnsupportedDimension,
 )
-from .lengths import LengthVector, indices_of_mask, parse_length_vector
+from .lengths import LengthVector, exact_str, indices_of_mask, parse_length_vector
 from .morse import (
     EmptySpaceCertificate,
     critical_data,
@@ -58,10 +58,11 @@ _INPUT_ERRORS = (
     OSError,
     UnicodeDecodeError,
 )
-#: every other typed error: caps and census range (OutOfRange,
-#: SearchTooLarge), solver and float failures (ConvergenceFailure,
-#: DegenerateConfiguration), failed exact certificates (CertificateFailure);
-#: and allocations no machine can serve, such as a huge --d in verify
+#: every other typed error: caps, census range and integers too long to
+#: print (OutOfRange, SearchTooLarge), solver and float failures
+#: (ConvergenceFailure, DegenerateConfiguration), failed exact
+#: certificates (CertificateFailure); and allocations no machine can
+#: serve, such as a huge --d in verify
 _LIMIT_ERRORS = (PolygonSpacesError, MemoryError)
 
 
@@ -211,17 +212,19 @@ def _cmd_census(args: argparse.Namespace, out: TextIO) -> int:
 
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     d = _require_d(args)
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be non-negative, got {args.seed}")
     lv = parse_length_vector(args.l).ordered()[0]
     records = critical_data(lv, d)
     solved = find_polygon(lv, d, seed=args.seed)
     doc = {
         "n": lv.n,
         "d": d,
-        "vector": [str(e) for e in lv.entries],
+        "vector": [exact_str(e) for e in lv.entries],
         "critical": [
             {
                 "subset": list(indices_of_mask(r.subset)),
-                "value": str(r.critical_value),
+                "value": exact_str(r.critical_value),
                 "index": r.index,
                 "signature": list(r.hessian_signature),
             }
@@ -234,7 +237,7 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
         doc["realization"] = {
             "empty": True,
             "witness": list(indices_of_mask(solved.witness)),
-            "min_residual": str(solved.min_residual),
+            "min_residual": exact_str(solved.min_residual),
         }
         doc["jacobian_rank"] = None
     else:
@@ -250,15 +253,15 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     else:
         out.write(f"vector {lv}  n={lv.n} d={d}\n")
         out.write(f"critical records ({len(records)}):\n")
-        for r in records:
+        for r, c in zip(records, doc["critical"]):
             out.write(
-                f"  J={_fmt_subset(r.subset)} value={r.critical_value} "
+                f"  J={_fmt_subset(r.subset)} value={c['value']} "
                 f"index={r.index} signature={r.hessian_signature}\n"
             )
         if empty:
             out.write(
                 f"empty space: witness {_fmt_subset(solved.witness)}, "
-                f"exact min residual {solved.min_residual}\n"
+                f"exact min residual {doc['realization']['min_residual']}\n"
             )
         else:
             out.write(
@@ -279,6 +282,8 @@ def _cmd_classify_file(args: argparse.Namespace, out: TextIO) -> int:
     vectors = _read_vector_file(args.file)
     if not vectors:
         raise _UsageError(f"no vectors found in {args.file}")
+    # formatted before any output, so a limit leaves stdout empty
+    entries = [[exact_str(e) for e in v.entries] for v in vectors]
     k = len(vectors)
     diffeo = [[True] * k for _ in range(k)]
     betti_eq = [[True] * k for _ in range(k)]
@@ -294,7 +299,7 @@ def _cmd_classify_file(args: argparse.Namespace, out: TextIO) -> int:
             {
                 "d": d,
                 "n": vectors[0].n,
-                "vectors": [[str(e) for e in v.entries] for v in vectors],
+                "vectors": entries,
                 "diffeomorphic": diffeo,
                 "betti_equal": betti_eq,
                 "witnesses": [

@@ -62,9 +62,6 @@ class BettiTable:
     def dim(self, degree: int) -> int:
         return self.dims.get(degree, 0)
 
-    def poincare_coefficients(self) -> list[int]:
-        return [self.dim(i) for i in range(self.manifold_dim + 1)]
-
     @property
     def euler(self) -> int:
         return sum(v if deg % 2 == 0 else -v for deg, v in self.dims.items())
@@ -111,15 +108,6 @@ def betti_table(lv: LengthVector, d: int) -> BettiTable:
             dims[(d - 1) * k - 1] = v
     note = None if not any(b) else "nongeneric: the space may be singular"
     return BettiTable(n, d, a, b, dims, (n - 1) * (d - 1) - 1, note)
-
-
-def poincare_polynomial(lv: LengthVector, d: int) -> list[int]:
-    """Coefficient list of sum dims[i] t^i, length manifold_dim + 1."""
-    return betti_table(lv, d).poincare_coefficients()
-
-
-def euler_characteristic(lv: LengthVector, d: int) -> int:
-    return betti_table(lv, d).euler
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +183,7 @@ def quotient_basis_dimensions(lv: LengthVector, d: int) -> dict[int, int]:
 
 
 def rings_isomorphic_bruteforce(
-    first: RingPresentation,
-    second: RingPresentation,
-    max_variables: int = MAX_BIJECTION_VARIABLES,
+    first: RingPresentation, second: RingPresentation
 ) -> bool:
     """Exhaustive search for a variable bijection matching the generator
     antichains of the pruned presentations."""
@@ -208,9 +194,9 @@ def rings_isomorphic_bruteforce(
     if len(vars_a) != len(vars_b):
         return False
     m = len(vars_a)
-    if m > max_variables:
+    if m > MAX_BIJECTION_VARIABLES:
         raise SearchTooLarge(
-            f"{m} variables exceed the bijection-search cap {max_variables}"
+            f"{m} variables exceed the bijection-search cap {MAX_BIJECTION_VARIABLES}"
         )
     pos_a = {v: i for i, v in enumerate(vars_a)}
     pos_b = {v: i for i, v in enumerate(vars_b)}

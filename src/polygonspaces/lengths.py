@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .errors import (
     EntryNotPositive,
     MalformedNumber,
     NotGeneric,
-    NotOrdered,
     OutOfRange,
     TooFewEntries,
 )
@@ -102,6 +102,22 @@ def subset_sizes(width: int) -> np.ndarray:
 # length vectors
 
 
+def exact_str(value: int) -> str:
+    """Decimal digits of an exact integer, or OutOfRange where Python's
+    int-to-str digit limit refuses the conversion."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise OutOfRange(
+            f"an exact integer of {value.bit_length()} bits exceeds "
+            "Python's int-to-str digit limit"
+        ) from exc
+
+
+def _fmt_entries(entries: Sequence[int]) -> str:
+    return "(" + ", ".join(map(exact_str, entries)) + ")"
+
+
 class Kind(Enum):
     SHORT = "short"
     MEDIAN = "median"
@@ -116,16 +132,26 @@ class SubsetClass:
 
 @dataclass(frozen=True)
 class LengthVector:
-    """Positive side lengths in coprime integer normal form."""
+    """Positive side lengths in coprime integer normal form.
+
+    Entries must be integers; rationals go through ``from_rationals``.
+    """
 
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(int(e) for e in self.entries)
+        try:
+            entries = tuple(operator.index(e) for e in self.entries)
+        except TypeError as exc:
+            raise MalformedNumber(
+                f"side lengths must be integers, see from_rationals: {exc}"
+            ) from exc
         if len(entries) < 3:
             raise TooFewEntries(f"need at least 3 sides, got {len(entries)}")
         if any(e <= 0 for e in entries):
-            raise EntryNotPositive(f"side lengths must be positive: {entries}")
+            raise EntryNotPositive(
+                f"side lengths must be positive: {_fmt_entries(entries)}"
+            )
         g = math.gcd(*entries)
         if g != 1:
             entries = tuple(e // g for e in entries)
@@ -133,7 +159,8 @@ class LengthVector:
 
     @classmethod
     def from_rationals(cls, values: Iterable[Fraction | int | str]) -> "LengthVector":
-        """Build from exact rationals by clearing denominators."""
+        """Build from exact rationals by clearing denominators; the
+        constructor checks the count and the signs."""
         values = list(values)
         if any(isinstance(v, float) for v in values):
             # a binary float is already corrupted; demand "0.15" instead
@@ -142,12 +169,8 @@ class LengthVector:
             fracs = [Fraction(v) for v in values]
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedNumber(f"not a rational: {exc}") from exc
-        if len(fracs) < 3:
-            raise TooFewEntries(f"need at least 3 sides, got {len(fracs)}")
-        if any(f <= 0 for f in fracs):
-            raise EntryNotPositive(f"side lengths must be positive: {fracs}")
         denom = math.lcm(*(f.denominator for f in fracs))
-        return cls(tuple(int(f * denom) for f in fracs))
+        return cls(tuple(f.numerator * (denom // f.denominator) for f in fracs))
 
     @property
     def n(self) -> int:
@@ -170,7 +193,7 @@ class LengthVector:
         )
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(e) for e in self.entries) + ")"
+        return _fmt_entries(self.entries)
 
 
 _TOKEN_SPLIT = re.compile(r"[,\s]+")
@@ -244,10 +267,3 @@ def is_generic(lv: LengthVector) -> bool:
     if lv.total % 2:  # an odd integer total cannot split in half
         return True
     return bool(np.all(top_excess(lv) != 0))
-
-
-def long_subsets_containing_n(lv: LengthVector) -> Iterator[int]:
-    """Yield every long subset containing index n, in ascending mask order."""
-    if not lv.is_ordered:
-        raise NotOrdered("the long-subset stream requires an ordered vector")
-    yield from (np.flatnonzero(top_excess(lv) > 0) | 1 << (lv.n - 1)).tolist()

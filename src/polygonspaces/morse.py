@@ -110,6 +110,11 @@ def find_polygon(
     """
     if d < 2:
         raise UnsupportedDimension(f"directions need d >= 2, got {d}")
+    if max_restarts < 1 or max_sweeps < 1:
+        raise ValueError(
+            "max_restarts and max_sweeps must be positive, "
+            f"got {max_restarts} and {max_sweeps}"
+        )
     n = lv.n
     top = max(range(n), key=lambda i: lv.entries[i])
     deficit = excess(lv, 1 << top)
@@ -161,43 +166,47 @@ def find_polygon(
 
 @dataclass(frozen=True)
 class HessianMatrix:
-    """Reduced transverse form at an aligned configuration: D - E with
-    D_jj = eps_J(j) L_J / l_j and E the all-ones matrix."""
+    """Reduced transverse form at an aligned configuration: D - E with E the
+    all-ones matrix and D_jj = eps_J(j) L_J / l_j = L_J / kernel_vector[j],
+    stored as those O(n) integers."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    excess: int  # L_J, the excess of the long subset J
     kernel_vector: tuple[int, ...]  # eps_J(j) * l_j
 
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The n x n matrix D - E, built on demand."""
+        n = len(self.kernel_vector)
+        rows = []
+        for i, k in enumerate(self.kernel_vector):
+            row = [Fraction(-1)] * n
+            row[i] += Fraction(self.excess, k)
+            rows.append(tuple(row))
+        return tuple(rows)
+
     def multiply(self, vec: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-        """Exact product with ``entries``: the vector's denominators and each
-        row's are cleared by their lcm, so every sum runs over integers."""
+        """Exact product (D - E) vec = L_J v_j / k_j - sum(v) in O(n): the
+        vector's denominators are cleared by their lcm, so the sum is an int."""
         vden = math.lcm(*(v.denominator for v in vec))
         vnum = [v.numerator * (vden // v.denominator) for v in vec]
-        out = []
-        for row in self.entries:
-            rden = math.lcm(*(a.denominator for a in row))
-            total = sum(
-                a.numerator * (rden // a.denominator) * x for a, x in zip(row, vnum)
-            )
-            out.append(Fraction(total, rden * vden))
-        return tuple(out)
+        total = sum(vnum)
+        return tuple(
+            Fraction(self.excess * x - total * k, k * vden)
+            for x, k in zip(vnum, self.kernel_vector, strict=True)
+        )
 
 
-def _signs(lv: LengthVector, subset: int) -> list[int]:
-    return [1 if subset >> i & 1 else -1 for i in range(lv.n)]
-
-
-def hessian_matrix(lv: LengthVector, subset: int) -> HessianMatrix:
+def _reduced_form(lv: LengthVector, subset: int) -> tuple[int, tuple[int, ...]]:
+    """L_J and the kernel vector eps_J(j) l_j of a long subset J."""
     exc = excess(lv, subset)
     if exc <= 0:
         raise SubsetNotLong(f"{indices_of_mask(subset)} is not long")
-    eps = _signs(lv, subset)
-    rows = []
-    for i in range(lv.n):
-        row = [Fraction(-1)] * lv.n
-        row[i] += Fraction(eps[i] * exc, lv.entries[i])
-        rows.append(tuple(row))
-    kernel = tuple(eps[i] * lv.entries[i] for i in range(lv.n))
-    return HessianMatrix(tuple(rows), kernel)
+    kernel = tuple(e if subset >> i & 1 else -e for i, e in enumerate(lv.entries))
+    return exc, kernel
+
+
+def hessian_matrix(lv: LengthVector, subset: int) -> HessianMatrix:
+    return HessianMatrix(*_reduced_form(lv, subset))
 
 
 def _diagonal_minus_rank_one_inertia(
@@ -240,11 +249,8 @@ def hessian_signature(lv: LengthVector, subset: int) -> tuple[int, int, int]:
     sign is computed, not assumed, so the (|J|-1, n-|J|, 1) law stays a
     checked statement.
     """
-    exc = excess(lv, subset)
-    if exc <= 0:
-        raise SubsetNotLong(f"{indices_of_mask(subset)} is not long")
-    diag = [s * exc * e for s, e in zip(_signs(lv, subset), lv.entries)]
-    return _diagonal_minus_rank_one_inertia(diag, lv.entries)
+    exc, kernel = _reduced_form(lv, subset)
+    return _diagonal_minus_rank_one_inertia([exc * k for k in kernel], lv.entries)
 
 
 @dataclass(frozen=True)

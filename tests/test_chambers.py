@@ -20,7 +20,6 @@ from polygonspaces import (
     mask_from_indices,
     parse_length_vector,
     realize_signature,
-    same_chamber,
     same_chamber_up_to_permutation,
 )
 from polygonspaces.errors import (
@@ -107,23 +106,25 @@ class TestComparison:
     def test_example_pair_witness(self):
         first = parse_length_vector("1,2,2,2,4,4")
         second = parse_length_vector("1,1,3,4,8,8")
-        verdict = same_chamber(first, second)
+        verdict = same_chamber_up_to_permutation(first, second)
         assert not verdict.same
         assert verdict.witness == mask_from_indices((1, 4, 6))
 
     def test_scaling(self):
         lv = parse_length_vector("1,2,2,2,4,4")
         tripled = LengthVector(tuple(3 * e for e in lv.entries))
-        assert same_chamber(lv, tripled).same
+        assert same_chamber_up_to_permutation(lv, tripled).same
 
     def test_two_triangles(self):
-        assert same_chamber(
+        assert same_chamber_up_to_permutation(
             parse_length_vector("1,1,1"), parse_length_vector("2,2,3")
         ).same
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            same_chamber(parse_length_vector("1,1,1"), parse_length_vector("1,1,1,1,3"))
+            same_chamber_up_to_permutation(
+                parse_length_vector("1,1,1"), parse_length_vector("1,1,1,1,3")
+            )
 
     def test_up_to_permutation(self):
         assert same_chamber_up_to_permutation(
@@ -248,7 +249,7 @@ class TestClosureProperty:
 class TestEquivalenceProperties:
     @given(length_vectors(ordered=True, generic=True, max_n=6))
     def test_reflexive(self, lv):
-        assert same_chamber(lv, lv).same
+        assert same_chamber_up_to_permutation(lv, lv).same
 
     @given(
         length_vectors(ordered=True, generic=True, max_n=5),
@@ -258,7 +259,8 @@ class TestEquivalenceProperties:
     def test_symmetric(self, a, b):
         if a.n != b.n:
             return
-        assert same_chamber(a, b).same == same_chamber(b, a).same
+        ab = same_chamber_up_to_permutation(a, b)
+        assert ab.same == same_chamber_up_to_permutation(b, a).same
 
     @given(
         st.integers(3, 5),
@@ -277,8 +279,9 @@ class TestEquivalenceProperties:
             if generic(lv):
                 triple.append(lv)
         a, b, c = triple
-        if same_chamber(a, b).same and same_chamber(b, c).same:
-            assert same_chamber(a, c).same
+        same = same_chamber_up_to_permutation
+        if same(a, b).same and same(b, c).same:
+            assert same(a, c).same
 
     @given(length_vectors(generic=True, max_n=6), st.randoms())
     def test_permutation_invariance(self, lv, rnd):

@@ -1,6 +1,7 @@
 import io
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -299,6 +300,54 @@ class TestUsage:
             assert code == 1
             assert out == ""
             assert "usage error" in err
+
+
+#: entries whose decimal form passes Python's 4,300-digit int-to-str limit
+HUGE = "1e5000,1e5000,1"
+HUGE_LIMIT = (
+    "limit: an exact integer of 16610 bits exceeds Python's int-to-str digit limit\n"
+)
+
+
+class TestNoTraceback:
+    """Inputs that once died with a traceback: each now gets its documented
+    exit code and one stderr line, or its unchanged success."""
+
+    @pytest.mark.parametrize(
+        "argv, code, err_line",
+        [
+            (
+                ("verify", "--d", "3", "--l", "1,1,1", "--seed", "-1"),
+                1,
+                "usage error: --seed must be non-negative, got -1\n",
+            ),
+            (("betti", "--d", "3", "--l", HUGE), 3, HUGE_LIMIT),
+            (("ring", "--d", "3", "--l", HUGE), 3, HUGE_LIMIT),
+            (("verify", "--d", "3", "--json", "--l", HUGE), 3, HUGE_LIMIT),
+            (("classify-file", "--d", "3", "--file", "{file}"), 3, HUGE_LIMIT),
+            # the median subset's message names the vector
+            (
+                ("compare", "--d", "3", "--l", "1e5000,1e5000,1,1", "--l2", "1,2,2,4"),
+                3,
+                HUGE_LIMIT,
+            ),
+            # unchanged: nothing here prints the entries
+            (("betti", "--d", "3", "--json", "--l", HUGE), 0, None),
+            (("compare", "--d", "3", "--l", HUGE, "--l2", "1,2,2"), 0, None),
+        ],
+    )
+    def test_documented_exit(self, tmp_path, argv, code, err_line):
+        path = tmp_path / "vectors.txt"
+        path.write_text(f"1,2,2\n{HUGE}\n")
+        argv = [str(path) if a == "{file}" else a for a in argv]
+        got, out, err = invoke(*argv)
+        assert got == code
+        if err_line is None:
+            assert out and err == ""
+        else:
+            assert out == ""
+            assert err == err_line
+        assert "Traceback" not in err
 
 
 def _scaled(entries, scale) -> str:

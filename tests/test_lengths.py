@@ -14,19 +14,18 @@ from polygonspaces import (
     excess,
     indices_of_mask,
     is_generic,
-    long_subsets_containing_n,
     mask_from_indices,
     parse_length_vector,
 )
 from polygonspaces.errors import (
     EntryNotPositive,
     MalformedNumber,
-    NotOrdered,
     OutOfRange,
     TooFewEntries,
 )
 from polygonspaces.lengths import (
     MAX_ENUM_N,
+    exact_str,
     mask_key,
     subset_sizes,
     subset_sums,
@@ -70,6 +69,34 @@ class TestParse:
     def test_binary_floats_rejected(self):
         with pytest.raises(MalformedNumber):
             LengthVector.from_rationals([0.15, 0.15, 0.7])
+
+    @pytest.mark.parametrize(
+        "entries", [(Fraction(3, 2), 2, 2), (1.5, 2, 2), (Fraction(2), 2, 2), ("1", 2, 2)]
+    )
+    def test_constructor_takes_only_integers(self, entries):
+        # int() used to truncate 3/2 and 1.5 to 1; rationals go through
+        # from_rationals, which keeps them exact
+        with pytest.raises(MalformedNumber):
+            LengthVector(entries)
+
+    def test_integer_types_accepted(self):
+        lv = LengthVector((np.int64(1), 1, 2))
+        assert lv.entries == (1, 1, 2)
+        assert all(type(e) is int for e in lv.entries)
+        assert LengthVector.from_rationals([Fraction(3, 2), 2, 2]).entries == (3, 4, 4)
+
+    def test_nonpositive_message_is_exact(self):
+        with pytest.raises(EntryNotPositive, match=r"positive: \(0, 3, 4\)$"):
+            LengthVector.from_rationals(["0", "3/2", 2])
+
+    def test_undecimal_entries_are_a_limit(self):
+        # Python refuses int -> str beyond 4,300 digits; the vector still
+        # exists and computes, only its printed form is a typed limit
+        lv = parse_length_vector("1e5000,1e5000,1")
+        assert lv.entries == (10**5000, 10**5000, 1)
+        with pytest.raises(OutOfRange, match="16610 bits"):
+            str(lv)
+        assert exact_str(-(10**4000)) == "-1" + "0" * 4000
 
     def test_whitespace_and_commas_mix(self):
         assert parse_length_vector(" 1, 2\t2  2,4 ,4 ").entries == (1, 2, 2, 2, 4, 4)
@@ -222,28 +249,25 @@ class TestGenericity:
 
 
 class TestLongSubsetStream:
+    """Long subsets J union {n}, read off ``top_excess(lv) > 0`` by the mask of J."""
+
     def test_equilateral(self):
         lv = parse_length_vector("1,1,1")
-        masks = list(long_subsets_containing_n(lv))
-        assert masks == [0b101, 0b110, 0b111]
+        assert np.flatnonzero(top_excess(lv) > 0).tolist() == [0b01, 0b10, 0b11]
 
     def test_long_singleton(self):
         lv = parse_length_vector("1,1,3")
-        assert list(long_subsets_containing_n(lv)) == [0b100, 0b101, 0b110, 0b111]
+        assert np.flatnonzero(top_excess(lv) > 0).tolist() == [0b00, 0b01, 0b10, 0b11]
 
     def test_dominant_last_entry(self):
         lv = parse_length_vector("1,1,1,10")
-        assert len(list(long_subsets_containing_n(lv))) == 8
-
-    def test_requires_ordered(self):
-        with pytest.raises(NotOrdered):
-            list(long_subsets_containing_n(parse_length_vector("3,1,1")))
+        assert np.count_nonzero(top_excess(lv) > 0) == 8
 
     @pytest.mark.parametrize("entries", BOUNDARY_VECTORS)
     def test_boundary_vectors(self, entries):
-        hi = 1 << (len(entries) - 1)
-        expected = [m | hi for m, e in enumerate(oracle_top_excess(entries)) if e > 0]
-        assert list(long_subsets_containing_n(LengthVector(entries))) == expected
+        expected = [m for m, e in enumerate(oracle_top_excess(entries)) if e > 0]
+        got = np.flatnonzero(top_excess(LengthVector(entries)) > 0).tolist()
+        assert got == expected
 
 
 class TestProperties:

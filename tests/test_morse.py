@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -41,6 +42,14 @@ from polygonspaces.errors import (
     SubsetNotLong,
 )
 from polygonspaces.morse import _as_floats, _diagonal_minus_rank_one_inertia
+
+#: three seeded vectors per n = 3..9 with entries up to 60 and up to 10^6
+ORACLE_VECTORS = [
+    tuple(sorted(random.Random(100 * n + seed).randint(1, high) for _ in range(n)))
+    for n in range(3, 10)
+    for high in (60, 10**6)
+    for seed in range(3)
+] + BOUNDARY_VECTORS
 
 
 def triangle_config():
@@ -166,6 +175,15 @@ class TestFindPolygon:
         assert np.array_equal(lengths, np.asarray(lv.entries, dtype=float))
         assert perimeter == float(lv.total)
 
+    @pytest.mark.parametrize(
+        "budget", [{"max_sweeps": 0}, {"max_restarts": 0}, {"max_sweeps": -1}]
+    )
+    def test_nonpositive_budget_rejected(self, budget):
+        # max_sweeps=0 used to reach the residual check with nothing bound
+        for text in ("1,2,2,3,5", "1,1,3"):
+            with pytest.raises(ValueError, match="must be positive"):
+                find_polygon(parse_length_vector(text), 3, **budget)
+
     def test_unordered_empty_detection(self):
         # the dominating side need not sit last for library calls
         cert = find_polygon(parse_length_vector("3,1,1"), 3)
@@ -233,16 +251,7 @@ class TestHessian:
         assert zero == k - pos - neg
 
 
-    @pytest.mark.parametrize(
-        "entries",
-        [
-            tuple(sorted(random.Random(100 * n + seed).randint(1, high) for _ in range(n)))
-            for n in range(3, 10)
-            for high in (60, 10**6)
-            for seed in range(3)
-        ]
-        + BOUNDARY_VECTORS,
-    )
+    @pytest.mark.parametrize("entries", ORACLE_VECTORS)
     def test_matches_eliminator_oracle(self, entries):
         lv = LengthVector(entries)
         for subset in range(1, 1 << lv.n):
@@ -277,6 +286,38 @@ class TestHessian:
     def test_diagonal_must_be_nonsingular(self):
         with pytest.raises(ValueError):
             _diagonal_minus_rank_one_inertia([2, 0, -1], [1, 1, 1])
+
+    def test_stores_linear_data(self):
+        H = hessian_matrix(parse_length_vector("1,2,2,3,5,9"), mask_from_indices((5, 6)))
+        assert [f.name for f in dataclasses.fields(H)] == ["excess", "kernel_vector"]
+        assert (H.excess, H.kernel_vector) == (6, (-1, -2, -2, -3, 5, 9))
+
+    @pytest.mark.parametrize("entries", ORACLE_VECTORS)
+    def test_entries_congruent_to_integer_form(self, entries):
+        # diag(l) (D - E) diag(l) is the oracle's integer form, entry by entry,
+        # and multiply agrees with the row products of the built matrix
+        lv = LengthVector(entries)
+        n = lv.n
+        vec = [Fraction(random.Random(n).randint(-9, 9), j + 1) for j in range(n)]
+        for subset in range(1, 1 << n):
+            if oracle_excess(entries, indices_of_mask(subset)) <= 0:
+                continue
+            H = hessian_matrix(lv, subset)
+            rows = H.entries
+            form = oracle_hessian_form(entries, subset)
+            assert all(
+                rows[i][j] * entries[i] * entries[j] == form[i][j]
+                for i in range(n)
+                for j in range(n)
+            )
+            assert H.multiply(vec) == tuple(
+                sum(a * v for a, v in zip(row, vec)) for row in rows
+            )
+
+    def test_multiply_rejects_wrong_length(self):
+        H = hessian_matrix(parse_length_vector("1,1,3"), mask_from_indices((3,)))
+        with pytest.raises(ValueError):
+            H.multiply([1, 1])
 
     def test_multiply_matches_fraction_products(self):
         rng = random.Random(5)
