@@ -22,6 +22,7 @@ from .cohomology import (
     BettiTable,
     PairVerdict,
     RingPresentation,
+    VectorRecord,
     betti_table,
     classify_pair,
     quotient_basis_dimensions,
@@ -71,6 +72,7 @@ __all__ = [
     "PolygonConfiguration",
     "RingPresentation",
     "SubsetClass",
+    "VectorRecord",
     "betti_table",
     "chamber_signature",
     "classify_pair",

@@ -111,9 +111,31 @@ def same_chamber_up_to_permutation(
         raise DimensionMismatch(f"n={first.n} vs n={second.n}")
     a = chamber_signature(first.ordered()[0]).short_family
     b = chamber_signature(second.ordered()[0]).short_family
+    return _compare_families(a, b, first.n)
+
+
+def _compare_families(a: frozenset[int], b: frozenset[int], n: int) -> ChamberComparison:
+    """Compare two short families of n-gons; the witness is the smallest
+    mask of the symmetric difference, index-tuple order, with n adjoined."""
     if a == b:
         return ChamberComparison(True, None)
-    return ChamberComparison(False, min(a ^ b, key=mask_key) | 1 << (first.n - 1))
+    return ChamberComparison(False, _smallest_mask(a ^ b) | 1 << (n - 1))
+
+
+def _smallest_mask(masks: Collection[int]) -> int:
+    """The smallest of nonempty ``masks`` in index-tuple order, that is
+    ``min(masks, key=mask_key)`` without a key call per mask.
+
+    Descends one lowest bit at a time: a prefix that is itself a member is
+    the answer, else the members extending it continue with the smallest
+    next index.  ``rest`` holds the extending members minus the prefix.
+    """
+    prefix, rest = 0, masks
+    while 0 not in rest:
+        low = min(r & -r for r in rest)
+        rest = [r ^ low for r in rest if r & -r == low]
+        prefix |= low
+    return prefix
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from . import __version__
 from .chambers import enumerate_chambers
 from .cohomology import (
     PairVerdict,
+    VectorRecord,
     betti_table,
     classify_pair,
     recognize_special,
@@ -89,14 +90,39 @@ def _require_d(args: argparse.Namespace) -> int:
     return args.d
 
 
-def _read_vector_file(path: str) -> list[LengthVector]:
-    vectors = []
+#: errors that reject one line of a classify-file input, not the whole file
+_LINE_ERRORS = (
+    MalformedNumber,
+    EntryNotPositive,
+    TooFewEntries,
+    NotGeneric,
+    DimensionMismatch,
+)
+
+
+def _read_records(
+    path: str, d: int
+) -> tuple[list[LengthVector], list[VectorRecord], list[str]]:
+    """The vector as read and its record for every accepted line, and an
+    error line for every rejected one: unparsable, nongeneric, or with an
+    n other than the first accepted line's."""
+    vectors, records, rejected = [], [], []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.split("#", 1)[0].strip()
-            if line:
-                vectors.append(parse_length_vector(line))
-    return vectors
+            if not line:
+                continue
+            try:
+                lv = parse_length_vector(line)
+                if records and lv.n != records[0].n:
+                    raise DimensionMismatch(
+                        f"n={lv.n} vs n={records[0].n} of the first accepted line"
+                    )
+                records.append(VectorRecord.of(lv, d))
+                vectors.append(lv)
+            except _LINE_ERRORS as exc:
+                rejected.append(f"error: line {number}: {exc}\n")
+    return vectors, records, rejected
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +138,7 @@ def _cohomology_doc(lv: LengthVector, d: int) -> tuple[dict, bool]:
     return doc, empty
 
 
-def _cmd_betti(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_betti(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     d = _require_d(args)
     lv = parse_length_vector(args.l).ordered()[0]
     doc, empty = _cohomology_doc(lv, d)
@@ -138,7 +164,7 @@ def _cmd_betti(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_EMPTY if empty else EXIT_OK
 
 
-def _cmd_ring(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_ring(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     d = _require_d(args)
     lv = parse_length_vector(args.l).ordered()[0]
     doc, empty = _cohomology_doc(lv, d)
@@ -171,7 +197,7 @@ def _verdict_line(verdict: PairVerdict) -> str:
     )
 
 
-def _cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_compare(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     d = _require_d(args)
     first = parse_length_vector(args.l)
     second = parse_length_vector(args.l2)
@@ -195,7 +221,7 @@ def _cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK
 
 
-def _cmd_census(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_census(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     census = enumerate_chambers(args.n)
     if args.json:
         _emit_json(census.to_json_obj(), out)
@@ -210,7 +236,7 @@ def _cmd_census(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_verify(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     d = _require_d(args)
     if args.seed < 0:
         raise _UsageError(f"--seed must be non-negative, got {args.seed}")
@@ -277,20 +303,23 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_EMPTY if empty else EXIT_OK
 
 
-def _cmd_classify_file(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_classify_file(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     d = _require_d(args)
-    vectors = _read_vector_file(args.file)
-    if not vectors:
+    vectors, records, rejected = _read_records(args.file, d)
+    if not vectors and not rejected:
         raise _UsageError(f"no vectors found in {args.file}")
-    # formatted before any output, so a limit leaves stdout empty
+    # formatted before any output, so a limit leaves both streams bare
     entries = [[exact_str(e) for e in v.entries] for v in vectors]
+    err.writelines(rejected)
+    if not vectors:
+        return EXIT_INPUT
     k = len(vectors)
     diffeo = [[True] * k for _ in range(k)]
     betti_eq = [[True] * k for _ in range(k)]
     pairs = []
     for i in range(k):
         for j in range(i + 1, k):
-            verdict = classify_pair(vectors[i], vectors[j], d)
+            verdict = records[i].verdict(records[j])
             diffeo[i][j] = diffeo[j][i] = verdict.diffeomorphic
             betti_eq[i][j] = betti_eq[j][i] = verdict.betti_equal
             pairs.append((i, j, verdict))
@@ -320,7 +349,7 @@ def _cmd_classify_file(args: argparse.Namespace, out: TextIO) -> int:
             out.write(f"{i}: {v}\n")
         for i, j, verdict in pairs:
             out.write(f"{i} vs {j}: {_verdict_line(verdict)}\n")
-    return EXIT_OK
+    return EXIT_INPUT if rejected else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +422,7 @@ def run(
         err.write(f"usage error: {exc}\n")
         return EXIT_INPUT
     try:
-        return args.handler(args, out)
+        return args.handler(args, out, err)
     except _UsageError as exc:
         err.write(f"usage error: {exc}\n")
         return EXIT_INPUT

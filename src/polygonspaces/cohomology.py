@@ -12,7 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chambers import chamber_signature, same_chamber_up_to_permutation
+from .chambers import (
+    ChamberComparison,
+    _compare_families,
+    chamber_signature,
+    same_chamber_up_to_permutation,
+)
 from .errors import (
     DimensionMismatch,
     NotOrdered,
@@ -275,6 +280,10 @@ def classify_pair(first: LengthVector, second: LengthVector, d: int) -> PairVerd
     s2 = second.ordered()[0]
     cmp = same_chamber_up_to_permutation(s1, s2)
     betti_equal = betti_table(s1, d).dims == betti_table(s2, d).dims
+    return _verdict(cmp, betti_equal)
+
+
+def _verdict(cmp: ChamberComparison, betti_equal: bool) -> PairVerdict:
     if cmp.same:
         notes = "same chamber after sorting"
     elif betti_equal:
@@ -282,6 +291,40 @@ def classify_pair(first: LengthVector, second: LengthVector, d: int) -> PairVerd
     else:
         notes = "different chambers"
     return PairVerdict(cmp.same, betti_equal, cmp.witness, notes)
+
+
+@dataclass(frozen=True)
+class VectorRecord:
+    """What the pair verdict needs of one generic vector, computed once.
+
+    Batch callers build one record per vector (one subset scan for the
+    chamber, one for the Betti table) and compare records pairwise, so k
+    vectors cost 2k scans instead of four per pair.
+    """
+
+    vector: LengthVector  # sorted
+    d: int
+    short_family: frozenset[int]
+    betti: dict[int, int]  # BettiTable.dims
+
+    @classmethod
+    def of(cls, lv: LengthVector, d: int) -> "VectorRecord":
+        _require_dimension(d)
+        s = lv.ordered()[0]
+        return cls(s, d, chamber_signature(s).short_family, betti_table(s, d).dims)
+
+    @property
+    def n(self) -> int:
+        return self.vector.n
+
+    def verdict(self, other: "VectorRecord") -> PairVerdict:
+        """The verdict ``classify_pair`` gives for the two vectors."""
+        if self.n != other.n:
+            raise DimensionMismatch(f"n={self.n} vs n={other.n}")
+        if self.d != other.d:
+            raise DimensionMismatch(f"d={self.d} vs d={other.d}")
+        cmp = _compare_families(self.short_family, other.short_family, self.n)
+        return _verdict(cmp, self.betti == other.betti)
 
 
 def recognize_special(lv: LengthVector, d: int) -> str | None:

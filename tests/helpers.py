@@ -7,7 +7,14 @@ from typing import Sequence
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from polygonspaces import LengthVector, chamber_signature, is_generic
+from polygonspaces import (
+    LengthVector,
+    PairVerdict,
+    betti_table,
+    chamber_signature,
+    is_generic,
+)
+from polygonspaces.errors import DimensionMismatch, UnsupportedDimension
 from polygonspaces.exactlp import (
     EQUAL,
     GREATER_EQUAL,
@@ -18,6 +25,7 @@ from polygonspaces.exactlp import (
     Constraint,
     LPResult,
 )
+from polygonspaces.lengths import mask_key
 
 
 @st.composite
@@ -105,6 +113,29 @@ def downward_closure(n, masks):
                 if j and not m >> (j - 1) & 1:
                     todo.append(m ^ 1 << j | 1 << (j - 1))
     return found
+
+
+def oracle_classify_pair(first, second, d):
+    """The pair verdict as computed before per-vector records: both
+    signatures and both Betti tables per call, witness by a key per mask."""
+    if d < 3:
+        raise UnsupportedDimension(f"the classification needs d >= 3, got {d}")
+    if first.n != second.n:
+        raise DimensionMismatch(f"n={first.n} vs n={second.n}")
+    s1 = first.ordered()[0]
+    s2 = second.ordered()[0]
+    a = chamber_signature(s1).short_family
+    b = chamber_signature(s2).short_family
+    same = a == b
+    witness = None if same else min(a ^ b, key=mask_key) | 1 << (first.n - 1)
+    betti_equal = betti_table(s1, d).dims == betti_table(s2, d).dims
+    if same:
+        notes = "same chamber after sorting"
+    elif betti_equal:
+        notes = "different chambers despite identical Betti tables"
+    else:
+        notes = "different chambers"
+    return PairVerdict(same, betti_equal, witness, notes)
 
 
 def _oracle_pivot(tableau: list[list[Fraction]], row: int, col: int) -> None:

@@ -1,12 +1,20 @@
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import length_vectors, oracle_top_excess
-from polygonspaces import chamber_signature, cli, parse_length_vector
+from helpers import length_vectors, oracle_classify_pair, oracle_top_excess
+from polygonspaces import (
+    chamber_signature,
+    cli,
+    cohomology,
+    indices_of_mask,
+    lengths,
+    parse_length_vector,
+)
 from polygonspaces.cli import run
 from polygonspaces.errors import DegenerateConfiguration
 
@@ -254,6 +262,169 @@ class TestClassifyFile:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "utf-8" in err
+
+
+def _seeded_lines(n, high, seed, k=10, dups=3):
+    """k generic n-gons with entries 1..high, then a permuted and a
+    rescaled copy of each of the first ``dups``."""
+    rng = random.Random(seed)
+    base = []
+    while len(base) < k:
+        v = [rng.randint(1, high) for _ in range(n)]
+        if all(oracle_top_excess(sorted(v))):
+            base.append(v)
+    lines = [",".join(map(str, v)) for v in base]
+    for v in base[:dups]:
+        lines.append(" ".join(map(str, rng.sample(v, n))))
+        p, q = rng.randint(2, 9), rng.randint(2, 9)
+        lines.append(",".join(f"{p * e}/{q}" for e in v))
+    return lines
+
+
+def _oracle_outputs(lines, d):
+    """classify-file's JSON and text stdout, assembled from the oracle."""
+    vectors = [parse_length_vector(line) for line in lines]
+    k = len(vectors)
+    diffeo = [[True] * k for _ in range(k)]
+    betti = [[True] * k for _ in range(k)]
+    witnesses, text = [], [f"{i}: {v}\n" for i, v in enumerate(vectors)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            v = oracle_classify_pair(vectors[i], vectors[j], d)
+            diffeo[i][j] = diffeo[j][i] = v.diffeomorphic
+            betti[i][j] = betti[j][i] = v.betti_equal
+            w = None if v.witness is None else list(indices_of_mask(v.witness))
+            witnesses.append({"i": i, "j": j, "witness": w})
+            if v.diffeomorphic:
+                line = "Diffeomorphic (same chamber up to permutation); Betti numbers identical"
+            else:
+                same = "identical" if v.betti_equal else "differ"
+                line = (
+                    f"NOT diffeomorphic; Betti numbers {same}; "
+                    "witness subset {" + ",".join(map(str, w)) + "}"
+                )
+            text.append(f"{i} vs {j}: {line}\n")
+    doc = {
+        "d": d,
+        "n": vectors[0].n,
+        "vectors": [[str(e) for e in v.entries] for v in vectors],
+        "diffeomorphic": diffeo,
+        "betti_equal": betti,
+        "witnesses": witnesses,
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n", "".join(text), diffeo, betti
+
+
+def _write(tmp_path, lines, name="vectors.txt"):
+    path = tmp_path / name
+    path.write_text("".join(line + "\n" for line in lines))
+    return str(path)
+
+
+class TestClassifyFileOracle:
+    """Per-vector records against the pair-by-pair oracle."""
+
+    # seeds whose draws hold a pair with equal Betti tables in other chambers
+    @pytest.mark.parametrize("n, high, seed", [(7, 4, 4), (8, 4, 1), (9, 5, 0)])
+    def test_stdout_matches_oracle(self, tmp_path, n, high, seed):
+        lines = _seeded_lines(n, high, seed)
+        path = _write(tmp_path, ["# seeded"] + lines)
+        want_json, want_text, diffeo, betti = _oracle_outputs(lines, 3)
+        k = len(lines)
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        assert any(diffeo[i][j] for i, j in pairs)
+        assert any(betti[i][j] and not diffeo[i][j] for i, j in pairs)
+        assert invoke("classify-file", "--file", path, "--d", "3", "--json") == (
+            0, want_json, ""
+        )
+        assert invoke("classify-file", "--file", path, "--d", "3") == (0, want_text, "")
+
+    def test_one_scan_per_vector(self, tmp_path, monkeypatch):
+        calls = {"chamber_signature": 0, "subset_sums": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(cohomology, "chamber_signature")
+        counted(lengths, "subset_sums")
+        lines = _seeded_lines(7, 4, 4)
+        code, _, _ = invoke(
+            "classify-file", "--file", _write(tmp_path, lines), "--d", "3", "--json"
+        )
+        assert code == 0
+        # one scan for the chamber, one for the Betti table
+        assert calls == {"chamber_signature": len(lines), "subset_sums": 2 * len(lines)}
+
+
+class TestClassifyFileBadLines:
+    """A bad line is reported on its own; the accepted lines are classified
+    exactly as a file holding only them."""
+
+    GOOD = ["1,1,1,2", "2,3,3,5", "1,2,3,5"]
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    @pytest.mark.parametrize(
+        "bad, err_line",
+        [
+            ("1,2,2,3", "(1, 2, 2, 3) has the median subset (1, 4)"),
+            ("1,2,2,2,4,4", "n=6 vs n=4 of the first accepted line"),
+            ("1,2,x,3", "cannot parse 'x' as a rational"),
+            ("1,0,2,3", "side lengths must be positive: (1, 0, 2, 3)"),
+            ("1,2", "need at least 3 sides, got 2"),
+        ],
+    )
+    def test_middle_line_rejected(self, tmp_path, bad, err_line, json_flag):
+        lines = [self.GOOD[0], "# a comment", bad] + self.GOOD[1:]
+        argv = ("classify-file", "--d", "3", *json_flag, "--file")
+        _, want, _ = invoke(*argv, _write(tmp_path, self.GOOD, "good.txt"))
+        code, out, err = invoke(*argv, _write(tmp_path, lines))
+        assert code == 1
+        assert err == f"error: line 3: {err_line}\n"
+        assert out == want
+
+    def test_first_accepted_line_sets_n(self, tmp_path):
+        # the nongeneric first line does not fix n = 3
+        lines = ["1,1,2", "1,2,2,2,4,4", "1,1,1", "1,1,3,4,8,8"]
+        code, out, err = invoke("classify-file", "--d", "3", "--file", _write(tmp_path, lines))
+        assert code == 1
+        assert err == (
+            "error: line 1: (1, 1, 2) has the median subset (3,)\n"
+            "error: line 3: n=3 vs n=6 of the first accepted line\n"
+        )
+        assert out.splitlines()[:2] == ["0: (1, 2, 2, 2, 4, 4)", "1: (1, 1, 3, 4, 8, 8)"]
+
+    def test_every_line_bad(self, tmp_path):
+        lines = ["1,2,2,3", "nope", "1,1"]
+        code, out, err = invoke("classify-file", "--d", "3", "--file", _write(tmp_path, lines))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: line 1: (1, 2, 2, 3) has the median subset (1, 4)\n"
+            "error: line 2: cannot parse 'nope' as a rational\n"
+            "error: line 3: need at least 3 sides, got 2\n"
+        )
+
+    def test_one_vector_file_is_validated(self, tmp_path):
+        path = _write(tmp_path, ["1,1,2"])
+        for json_flag in ((), ("--json",)):
+            code, out, err = invoke("classify-file", "--d", "3", *json_flag, "--file", path)
+            assert code == 1
+            assert out == ""
+            assert err == "error: line 1: (1, 1, 2) has the median subset (3,)\n"
+
+    def test_limit_aborts_the_file(self, tmp_path):
+        # a bad line and an oversized one: only the limit is reported
+        lines = ["1,2,2,3", ",".join(["1"] * 24 + ["2"])]
+        code, out, err = invoke("classify-file", "--d", "3", "--file", _write(tmp_path, lines))
+        assert code == 3
+        assert out == ""
+        assert err == "limit: n=25 exceeds the subset-enumeration cap 24\n"
 
 
 class TestUsage:

@@ -4,10 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import BOUNDARY_VECTORS, length_vectors, oracle_top_excess
+from helpers import (
+    BOUNDARY_VECTORS,
+    length_vectors,
+    oracle_classify_pair,
+    oracle_top_excess,
+)
 from polygonspaces import (
     Kind,
     LengthVector,
+    VectorRecord,
     classify_subset,
     betti_table,
     classify_pair,
@@ -274,6 +280,38 @@ class TestClassifyPair:
         verdict = classify_pair(a, b, d)
         if verdict.diffeomorphic:
             assert verdict.betti_equal
+
+
+class TestVectorRecord:
+    def test_holds_the_sorted_vector(self):
+        record = VectorRecord.of(parse_length_vector("2,4,1,2,4,2"), 3)
+        assert record.vector == EXAMPLE
+        assert record.n == 6
+        assert record.betti == betti_table(EXAMPLE, 3).dims
+
+    def test_example_pair(self):
+        verdict = VectorRecord.of(EXAMPLE, 3).verdict(VectorRecord.of(TWIN, 3))
+        assert verdict == classify_pair(EXAMPLE, TWIN, 3)
+        assert verdict.witness == mask_from_indices((1, 4, 6))
+
+    def test_errors(self):
+        record = VectorRecord.of(EXAMPLE, 3)
+        with pytest.raises(DimensionMismatch):
+            record.verdict(VectorRecord.of(parse_length_vector("1,1,1"), 3))
+        with pytest.raises(DimensionMismatch):
+            record.verdict(VectorRecord.of(TWIN, 4))
+        with pytest.raises(UnsupportedDimension):
+            VectorRecord.of(EXAMPLE, 2)
+        with pytest.raises(NotGeneric):
+            VectorRecord.of(parse_length_vector("1,2,2,3"), 3)
+
+    @given(st.data(), st.sampled_from([3, 4]))
+    @settings(max_examples=60)
+    def test_matches_classify_pair_and_oracle(self, data, d):
+        a = data.draw(length_vectors(generic=True, max_n=7, max_entry=12))
+        b = data.draw(length_vectors(generic=True, min_n=a.n, max_n=a.n, max_entry=12))
+        verdict = VectorRecord.of(a, d).verdict(VectorRecord.of(b, d))
+        assert verdict == classify_pair(a, b, d) == oracle_classify_pair(a, b, d)
 
 
 class TestRecognizeSpecial:
