@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Collection, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 import numpy as np
 
@@ -37,40 +37,56 @@ CENSUS_MIN_N = 3
 CENSUS_MAX_N = 8
 
 
+def _pack(member: np.ndarray) -> bytes:
+    return np.packbits(member, bitorder="little").tobytes()
+
+
 @dataclass(frozen=True)
 class ChamberSignature:
-    """Family of subsets J of {1..n-1} with J union {n} short."""
+    """Family of subsets J of {1..n-1} with J union {n} short, as a bitmap:
+    bit m, in little-endian bit order, is set when the mask m is a member."""
 
     n: int
-    short_family: frozenset[int]
+    bitmap: bytes
 
     def __post_init__(self) -> None:
-        if not isinstance(self.short_family, frozenset):
-            object.__setattr__(self, "short_family", frozenset(self.short_family))
-        width = self.n - 1
-        full = (1 << width) - 1
-        fam = self.short_family
-        in_range = not fam or 0 <= min(fam) <= max(fam) <= full
-        inside = fam if in_range else [m for m in fam if 0 <= m <= full]
-        member = _membership(inside, width)
+        check_enumeration_width(self.n)
+        member = self.members()
+        # the round trip differs on a wrong length or a set padding bit
+        if _pack(member) != self.bitmap:
+            raise MalformedCandidate(f"not a packed bitmap of {member.size} masks")
         gaps = member & ~_closed_below(member)
-        if in_range and not gaps.any():
-            return
-        # name the first offender in iteration order, with its first gap
-        gaps = gaps.tolist()
-        for m in fam:
-            if not 0 <= m <= full:
-                raise MalformedCandidate(f"mask {m} is not a subset of 1..{width}")
-            if gaps[m]:
-                raise MalformedCandidate(
-                    f"family not downward closed: {indices_of_mask(m)} is a "
-                    f"member but {indices_of_mask(_missing_predecessor(m, member))} "
-                    "is not"
-                )
+        if gaps.any():
+            m = int(gaps.argmax())
+            raise MalformedCandidate(
+                f"family not downward closed: {indices_of_mask(m)} is a "
+                f"member but {indices_of_mask(_missing_predecessor(m, member))} "
+                "is not"
+            )
+
+    @classmethod
+    def from_masks(cls, n: int, masks: Iterable[int]) -> ChamberSignature:
+        """The signature whose members are exactly ``masks``."""
+        check_enumeration_width(n)
+        member = np.zeros(1 << (n - 1), dtype=bool)
+        for m in masks:
+            if not 0 <= m < member.size:
+                raise MalformedCandidate(f"mask {m} is not a subset of 1..{n - 1}")
+            member[m] = True
+        return cls(n, _pack(member))
+
+    def members(self) -> np.ndarray:
+        """Boolean array over the masks of 1..n-1: True on the members."""
+        bits = np.frombuffer(self.bitmap, np.uint8)
+        return np.unpackbits(bits, count=1 << (self.n - 1), bitorder="little").view(bool)
+
+    def masks(self) -> list[int]:
+        """The members, ascending."""
+        return np.flatnonzero(self.members()).tolist()
 
     @property
     def is_empty_space(self) -> bool:
-        return not self.short_family
+        return not any(self.bitmap)
 
     @cached_property
     def canonical_bytes(self) -> bytes:
@@ -81,10 +97,7 @@ class ChamberSignature:
         ).encode()
 
     def family_indices(self) -> list[list[int]]:
-        return [
-            list(indices_of_mask(m))
-            for m in sorted(self.short_family, key=mask_key)
-        ]
+        return [list(indices_of_mask(m)) for m in sorted(self.masks(), key=mask_key)]
 
 
 class ChamberComparison(NamedTuple):
@@ -98,7 +111,7 @@ def chamber_signature(lv: LengthVector) -> ChamberSignature:
         raise NotOrdered(f"{lv} is not nondecreasing")
     exc = top_excess(lv)
     reject_median(lv, exc)
-    return ChamberSignature(lv.n, frozenset(np.flatnonzero(exc < 0).tolist()))
+    return ChamberSignature(lv.n, _pack(exc < 0))
 
 
 def same_chamber_up_to_permutation(
@@ -109,17 +122,18 @@ def same_chamber_up_to_permutation(
     n adjoined."""
     if first.n != second.n:
         raise DimensionMismatch(f"n={first.n} vs n={second.n}")
-    a = chamber_signature(first.ordered()[0]).short_family
-    b = chamber_signature(second.ordered()[0]).short_family
-    return _compare_families(a, b, first.n)
+    a = chamber_signature(first.ordered()[0])
+    b = chamber_signature(second.ordered()[0])
+    return _compare_families(a, b)
 
 
-def _compare_families(a: frozenset[int], b: frozenset[int], n: int) -> ChamberComparison:
-    """Compare two short families of n-gons; the witness is the smallest
+def _compare_families(a: ChamberSignature, b: ChamberSignature) -> ChamberComparison:
+    """Compare the signatures of two n-gons; the witness is the smallest
     mask of the symmetric difference, index-tuple order, with n adjoined."""
     if a == b:
         return ChamberComparison(True, None)
-    return ChamberComparison(False, _smallest_mask(a ^ b) | 1 << (n - 1))
+    differ = np.flatnonzero(a.members() ^ b.members()).tolist()
+    return ChamberComparison(False, _smallest_mask(differ) | 1 << (a.n - 1))
 
 
 def _smallest_mask(masks: Collection[int]) -> int:
@@ -140,13 +154,6 @@ def _smallest_mask(masks: Collection[int]) -> int:
 
 # ---------------------------------------------------------------------------
 # realization and census
-
-
-def _membership(fam: Collection[int], width: int) -> np.ndarray:
-    """Boolean array over the masks of 1..width: True on the members."""
-    member = np.zeros(1 << width, dtype=bool)
-    member[np.fromiter(fam, np.int64, len(fam))] = True
-    return member
 
 
 def _closed_below(member: np.ndarray) -> np.ndarray:
@@ -179,12 +186,11 @@ def _minimal_nonmembers(member: np.ndarray) -> list[int]:
     return np.flatnonzero(~member & _closed_below(member)).tolist()
 
 
-def _maximal_members(fam: frozenset[int], member: np.ndarray) -> list[int]:
-    """Members with no member immediately above, in the family's own order:
-    complementing reverses the order, hence the reversed complement."""
+def _maximal_members(member: np.ndarray) -> list[int]:
+    """Members with no member immediately above, ascending: complementing
+    reverses the order, hence the reversed complement."""
     full = member.size - 1
-    top = {full ^ m for m in _minimal_nonmembers(~member[::-1])}
-    return [m for m in fam if m in top]
+    return [full ^ m for m in reversed(_minimal_nonmembers(~member[::-1]))]
 
 
 def realize_signature(candidate: ChamberSignature) -> LengthVector | None:
@@ -198,10 +204,8 @@ def realize_signature(candidate: ChamberSignature) -> LengthVector | None:
     sums along the dominance order.
     """
     n = candidate.n
-    check_enumeration_width(n)
     width = n - 1
-    fam = candidate.short_family
-    member = _membership(fam, width)
+    member = candidate.members()
     half = Fraction(1, 2)
     zeros = [0] * (n + 1)
 
@@ -218,7 +222,7 @@ def realize_signature(candidate: ChamberSignature) -> LengthVector | None:
         """l_J + l_n plus or minus the slack, for the subset J with mask m."""
         return [m >> i & 1 for i in range(width)] + [1, slack]
 
-    for m in _maximal_members(fam, member):
+    for m in _maximal_members(member):
         cons.append(exactlp.constraint(row_of(m, 1), exactlp.LESS_EQUAL, half))
     for m in _minimal_nonmembers(member):
         cons.append(exactlp.constraint(row_of(m, -1), exactlp.GREATER_EQUAL, half))
@@ -273,33 +277,29 @@ def enumerate_chambers(n: int) -> CensusResult:
         raise OutOfRange(
             f"census supports {CENSUS_MIN_N} <= n <= {CENSUS_MAX_N}, got {n}"
         )
-    width = n - 1
-    start = ChamberSignature(n, frozenset())
+    start = ChamberSignature.from_masks(n, ())
     first = realize_signature(start)
     if first is None:
         raise CertificateFailure("the LP found no vector with an empty polygon space")
-    # keyed by family: a candidate seen before is skipped before its
+    # keyed by bitmap: a candidate seen before is skipped before its
     # signature is built and validated
-    found: dict[frozenset[int], tuple[ChamberSignature, LengthVector]] = {
-        start.short_family: (start, first)
-    }
-    infeasible: set[frozenset[int]] = set()
+    found: dict[bytes, tuple[ChamberSignature, LengthVector]] = {start.bitmap: (start, first)}
+    infeasible: set[bytes] = set()
     frontier = [start]
     while frontier:
-        sig = frontier.pop()
-        fam = sig.short_family
-        member = _membership(fam, width)
-        flips = [fam - {m} for m in _maximal_members(fam, member)]
-        flips += [fam | {m} for m in _minimal_nonmembers(member)]
-        for new_fam in flips:
-            if new_fam in found or new_fam in infeasible:
+        member = frontier.pop().members()
+        for m in _maximal_members(member) + _minimal_nonmembers(member):
+            member[m] ^= True
+            bitmap = _pack(member)
+            member[m] ^= True
+            if bitmap in found or bitmap in infeasible:
                 continue
-            cand = ChamberSignature(n, new_fam)
+            cand = ChamberSignature(n, bitmap)
             rep = realize_signature(cand)
             if rep is None:
-                infeasible.add(new_fam)
+                infeasible.add(bitmap)
             else:
-                found[new_fam] = (cand, rep)
+                found[bitmap] = (cand, rep)
                 frontier.append(cand)
     ordered = sorted(found.values(), key=lambda chamber: chamber[0].canonical_bytes)
     return CensusResult(n, tuple(ordered))

@@ -129,20 +129,13 @@ def _read_records(
 # subcommands
 
 
-def _cohomology_doc(lv: LengthVector, d: int) -> tuple[dict, bool]:
-    table = betti_table(lv, d)
-    ring = ring_presentation(lv, d)
-    doc = table.to_json_obj()
-    doc["ring"] = ring.to_json_obj()
-    empty = not table.dims
-    return doc, empty
-
-
 def _cmd_betti(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     d = _require_d(args)
     lv = parse_length_vector(args.l).ordered()[0]
-    doc, empty = _cohomology_doc(lv, d)
+    doc = betti_table(lv, d).to_json_obj()
+    empty = not doc["betti"]
     if args.json:
+        doc["ring"] = ring_presentation(lv, d).to_json_obj()
         _emit_json(doc, out)
     else:
         out.write(f"vector {lv}  n={lv.n} d={d}  manifold dim {doc['manifold_dim']}\n")
@@ -167,11 +160,12 @@ def _cmd_betti(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 def _cmd_ring(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     d = _require_d(args)
     lv = parse_length_vector(args.l).ordered()[0]
-    doc, empty = _cohomology_doc(lv, d)
+    doc = betti_table(lv, d).to_json_obj()
+    empty = not doc["betti"]
+    doc["ring"] = ring = ring_presentation(lv, d).to_json_obj()
     if args.json:
         _emit_json(doc, out)
     else:
-        ring = doc["ring"]
         out.write(f"vector {lv}  n={lv.n} d={d}\n")
         out.write(f"generator degree {d - 1}, variables Z1..Z{lv.n}\n")
         pruned = ", ".join(f"Z{j}" for j in ring["pruned"]) or "none"
@@ -229,7 +223,7 @@ def _cmd_census(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         out.write(f"n={census.n}: {census.count} chambers\n")
         for i, (sig, rep) in enumerate(census.chambers, 1):
             fam = (
-                " ".join(_fmt_subset(m) for m in sorted(sig.short_family, key=indices_of_mask))
+                " ".join(_fmt_subset(m) for m in sorted(sig.masks(), key=indices_of_mask))
                 or "(empty space)"
             )
             out.write(f"[{i}] representative {rep}  short family: {fam}\n")

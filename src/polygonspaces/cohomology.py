@@ -14,6 +14,7 @@ import numpy as np
 
 from .chambers import (
     ChamberComparison,
+    ChamberSignature,
     _compare_families,
     chamber_signature,
     same_chamber_up_to_permutation,
@@ -304,14 +305,14 @@ class VectorRecord:
 
     vector: LengthVector  # sorted
     d: int
-    short_family: frozenset[int]
+    chamber: ChamberSignature
     betti: dict[int, int]  # BettiTable.dims
 
     @classmethod
     def of(cls, lv: LengthVector, d: int) -> "VectorRecord":
         _require_dimension(d)
         s = lv.ordered()[0]
-        return cls(s, d, chamber_signature(s).short_family, betti_table(s, d).dims)
+        return cls(s, d, chamber_signature(s), betti_table(s, d).dims)
 
     @property
     def n(self) -> int:
@@ -323,7 +324,7 @@ class VectorRecord:
             raise DimensionMismatch(f"n={self.n} vs n={other.n}")
         if self.d != other.d:
             raise DimensionMismatch(f"d={self.d} vs d={other.d}")
-        cmp = _compare_families(self.short_family, other.short_family, self.n)
+        cmp = _compare_families(self.chamber, other.chamber)
         return _verdict(cmp, self.betti == other.betti)
 
 
@@ -341,6 +342,6 @@ def recognize_special(lv: LengthVector, d: int) -> str | None:
     n = lv.n
     if classify_subset(lv, mask_from_indices((n - 2, n - 1))).kind is Kind.LONG:
         return "stiefel_times_spheres"
-    if n >= 4 and sig.short_family == frozenset({0}):
+    if n >= 4 and sig == ChamberSignature.from_masks(n, [0]):
         return "sphere_product"
     return None

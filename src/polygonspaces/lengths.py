@@ -32,7 +32,10 @@ MAX_ENUM_N = 24
 
 
 def check_enumeration_width(n: int) -> None:
-    """Refuse exponential scans beyond the cap, before any allocation."""
+    """Refuse scans for fewer than 3 sides or beyond the cap, before any
+    allocation."""
+    if n < 3:
+        raise TooFewEntries(f"need at least 3 sides, got n={n}")
     if n > MAX_ENUM_N:
         raise OutOfRange(f"n={n} exceeds the subset-enumeration cap {MAX_ENUM_N}")
 
@@ -197,6 +200,11 @@ class LengthVector:
 
 
 _TOKEN_SPLIT = re.compile(r"[,\s]+")
+#: a trailing decimal exponent
+_EXPONENT = re.compile(r"e([-+]?\d+(_\d+)*)\Z", re.IGNORECASE)
+#: largest |exponent| of a decimal token; ``Fraction`` builds 10**|exponent|
+#: exactly, in time superlinear in the exponent
+MAX_DECIMAL_EXPONENT = 10**5
 
 
 def parse_length_vector(text: str) -> LengthVector:
@@ -209,7 +217,11 @@ def parse_length_vector(text: str) -> LengthVector:
         raise TooFewEntries("no entries found")
     values = []
     for tok in tokens:
+        exp = _EXPONENT.search(tok)
         try:
+            if exp and abs(int(exp[1])) > MAX_DECIMAL_EXPONENT:
+                Fraction(tok[: exp.start(1)] + "0")  # a malformed token reads as malformed
+                raise OutOfRange(f"|exponent| of {tok!r} exceeds {MAX_DECIMAL_EXPONENT}")
             values.append(Fraction(tok))
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedNumber(f"cannot parse {tok!r} as a rational") from exc

@@ -124,8 +124,8 @@ def oracle_classify_pair(first, second, d):
         raise DimensionMismatch(f"n={first.n} vs n={second.n}")
     s1 = first.ordered()[0]
     s2 = second.ordered()[0]
-    a = chamber_signature(s1).short_family
-    b = chamber_signature(s2).short_family
+    a = set(chamber_signature(s1).masks())
+    b = set(chamber_signature(s2).masks())
     same = a == b
     witness = None if same else min(a ^ b, key=mask_key) | 1 << (first.n - 1)
     betti_equal = betti_table(s1, d).dims == betti_table(s2, d).dims

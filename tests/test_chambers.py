@@ -1,3 +1,7 @@
+import hashlib
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,17 +34,18 @@ from polygonspaces.errors import (
     NotGeneric,
     NotOrdered,
     OutOfRange,
+    TooFewEntries,
 )
 
 
 class TestSignature:
     def test_equilateral_triangle(self):
         sig = chamber_signature(parse_length_vector("1,1,1"))
-        assert sig.short_family == frozenset({0})
+        assert sig.masks() == [0]
 
     def test_empty_space(self):
         sig = chamber_signature(parse_length_vector("1,1,3"))
-        assert sig.short_family == frozenset()
+        assert sig.masks() == []
         assert sig.is_empty_space
 
     def test_example_hexagon(self):
@@ -68,19 +73,19 @@ class TestSignature:
     def test_closure_validation(self):
         # {1,2} without {1} breaks inclusion closure
         with pytest.raises(MalformedCandidate):
-            ChamberSignature(4, frozenset({0, mask_from_indices((1, 2))}))
+            ChamberSignature.from_masks(4, {0, mask_from_indices((1, 2))})
         # {2} without {1} breaks dominance closure
         with pytest.raises(MalformedCandidate):
-            ChamberSignature(4, frozenset({0, mask_from_indices((2,))}))
+            ChamberSignature.from_masks(4, {0, mask_from_indices((2,))})
         # member outside 1..n-1
         with pytest.raises(MalformedCandidate):
-            ChamberSignature(3, frozenset({mask_from_indices((3,)), 0, 1, 2}))
+            ChamberSignature.from_masks(3, {mask_from_indices((3,)), 0, 1, 2})
 
     def test_closure_error_names_member_and_gap(self):
         # (1, 3) loses 1 and 3 to members, but sliding 3 down gives (1, 2)
         fam = frozenset({0, 0b001, 0b010, 0b100, mask_from_indices((1, 3))})
         with pytest.raises(MalformedCandidate) as info:
-            ChamberSignature(4, fam)
+            ChamberSignature.from_masks(4, fam)
         assert str(info.value) == (
             "family not downward closed: (1, 3) is a member but (1, 2) is not"
         )
@@ -89,7 +94,7 @@ class TestSignature:
     def test_boundary_vectors(self, entries):
         lv = LengthVector(entries)
         short = {m for m, e in enumerate(oracle_top_excess(entries)) if e < 0}
-        assert chamber_signature(lv).short_family == short
+        assert chamber_signature(lv).masks() == sorted(short)
 
     def test_median_named_across_the_boundary(self):
         lv = LengthVector((1, 2**62 - 1, 2**62))
@@ -101,6 +106,50 @@ class TestSignature:
         b = chamber_signature(parse_length_vector("2,4,4,4,8,8"))
         assert a == b
         assert a.canonical_bytes == b.canonical_bytes
+
+
+class TestFormat:
+    @pytest.mark.parametrize("n", range(3, 23))
+    def test_masks_round_trip(self, n):
+        rnd = random.Random(n)
+        while True:
+            lv = LengthVector(tuple(sorted(rnd.randint(1, 10**6) for _ in range(n))))
+            if is_generic(lv):
+                break
+        sig = chamber_signature(lv)
+        assert ChamberSignature.from_masks(n, sig.masks()) == sig
+        assert len(sig.bitmap) == max(1, 2 ** (n - 1) // 8)
+
+    @pytest.mark.parametrize("n, bitmap", [(3, b""), (4, b"\x01\x00"), (6, b"\x01")])
+    def test_wrong_length(self, n, bitmap):
+        with pytest.raises(MalformedCandidate, match="not a packed bitmap"):
+            ChamberSignature(n, bitmap)
+
+    def test_padding_bit(self):
+        # n = 3 has four masks, so the high half of the one byte is padding
+        assert ChamberSignature(3, b"\x0f").masks() == [0, 1, 2, 3]
+        with pytest.raises(MalformedCandidate, match="not a packed bitmap of 4 masks"):
+            ChamberSignature(3, b"\x1f")
+
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2])
+    def test_too_few_sides(self, n):
+        with pytest.raises(TooFewEntries):
+            ChamberSignature(n, b"")
+        with pytest.raises(TooFewEntries):
+            ChamberSignature.from_masks(n, ())
+
+    @pytest.mark.parametrize("n", [25, 64, 10**9])
+    def test_past_the_scan_cap(self, n):
+        # refused on n alone, before a bitmap of that width is built
+        with pytest.raises(OutOfRange, match="subset-enumeration cap"):
+            ChamberSignature(n, b"")
+        with pytest.raises(OutOfRange, match="subset-enumeration cap"):
+            ChamberSignature.from_masks(n, ())
+
+    @pytest.mark.parametrize("n", [3, 24])
+    def test_bounds_accepted(self, n):
+        sig = ChamberSignature.from_masks(n, [0])
+        assert sig.masks() == [0] and not sig.is_empty_space
 
 
 class TestComparison:
@@ -166,23 +215,23 @@ class TestSmallestMask:
 
 class TestRealize:
     def test_triangle_family(self):
-        rep = realize_signature(ChamberSignature(3, frozenset({0})))
+        rep = realize_signature(ChamberSignature.from_masks(3, {0}))
         assert rep is not None
-        assert chamber_signature(rep).short_family == frozenset({0})
+        assert chamber_signature(rep).masks() == [0]
 
     def test_infeasible_family(self):
         # l1 + l3 > l2 is forced by the ordering, so {1,3} cannot be short
-        assert realize_signature(ChamberSignature(3, frozenset({0, 1}))) is None
+        assert realize_signature(ChamberSignature.from_masks(3, {0, 1})) is None
 
     def test_square_like_family(self):
-        rep = realize_signature(ChamberSignature(4, frozenset({0, 1})))
+        rep = realize_signature(ChamberSignature.from_masks(4, {0, 1}))
         assert rep is not None
         assert rep.is_ordered and is_generic(rep)
-        assert chamber_signature(rep).short_family == frozenset({0, 1})
+        assert chamber_signature(rep).masks() == [0, 1]
 
     def test_empty_family_always_realizable(self):
         for n in (3, 5, 7):
-            rep = realize_signature(ChamberSignature(n, frozenset()))
+            rep = realize_signature(ChamberSignature.from_masks(n, ()))
             assert rep is not None
             assert chamber_signature(rep).is_empty_space
 
@@ -192,10 +241,24 @@ class TestRealize:
         monkeypatch.setattr(
             chambers,
             "chamber_signature",
-            lambda lv: ChamberSignature(lv.n, frozenset()),
+            lambda lv: ChamberSignature.from_masks(lv.n, ()),
         )
         with pytest.raises(CertificateFailure):
-            realize_signature(ChamberSignature(3, frozenset({0})))
+            realize_signature(ChamberSignature.from_masks(3, {0}))
+
+
+#: sha256 of the ``census --n N --json`` stdout
+_CENSUS_DIGESTS = {
+    5: "1404afe5fad70115339646c2a50df96f5dcaf3710b5b7f20381cd62a2f2ef396",
+    6: "2a38ca881030763c4bae7fe17ebf65cca6d8edbb16a1e8aa28bbff963cd242cf",
+    7: "b98548fd6c8e4b7b5cc21a3d8e976f01ca61f2dcbcde8db8357d08bec33a569d",
+    8: "1287cf615ce201db5eacac7ccde3592328d99054e03b63ff542f3ea181bd18ad",
+}
+
+
+def _census_digest(census):
+    text = json.dumps(census.to_json_obj(), indent=2, sort_keys=True) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestCensus:
@@ -206,7 +269,14 @@ class TestCensus:
 
     @pytest.mark.slow
     def test_count_n8(self):
-        assert enumerate_chambers(8).count == 2470
+        census = enumerate_chambers(8)
+        assert census.count == 2470
+        assert _census_digest(census) == _CENSUS_DIGESTS[8]
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_json_digest(self, n):
+        # pins the representatives too, which follow the LP row order
+        assert _census_digest(enumerate_chambers(n)) == _CENSUS_DIGESTS[n]
 
     def test_round_trip_and_invariants(self):
         census = enumerate_chambers(5)
@@ -261,11 +331,11 @@ class TestClosureProperty:
     def test_accepts_exactly_the_closed_families(self, case):
         n, fam = case
         try:
-            ChamberSignature(n, frozenset(fam))
+            ChamberSignature.from_masks(n, fam)
             accepted = True
-        except MalformedCandidate:
+        except (MalformedCandidate, TooFewEntries):
             accepted = False
-        assert accepted == oracle_downward_closed(n, fam)
+        assert accepted == (n >= 3 and oracle_downward_closed(n, fam))
 
 
 class TestEquivalenceProperties:
@@ -319,5 +389,5 @@ class TestEquivalenceProperties:
         from polygonspaces import Kind, classify_subset
 
         top_short = classify_subset(lv, 1 << (lv.n - 1)).kind is Kind.SHORT
-        assert (0 in sig.short_family) == top_short
-        assert bool(sig.short_family) == top_short
+        assert (0 in sig.masks()) == top_short
+        assert bool(sig.masks()) == top_short

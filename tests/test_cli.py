@@ -505,6 +505,17 @@ class TestNoTraceback:
             # unchanged: nothing here prints the entries
             (("betti", "--d", "3", "--json", "--l", HUGE), 0, None),
             (("compare", "--d", "3", "--l", HUGE, "--l2", "1,2,2"), 0, None),
+            # refused before Fraction builds 10**(3*10**7)
+            (
+                ("betti", "--d", "3", "--l", "1e30000000,1,1"),
+                3,
+                "limit: |exponent| of '1e30000000' exceeds 100000\n",
+            ),
+            (
+                ("betti", "--d", "3", "--l", "1,1,1e-30000000"),
+                3,
+                "limit: |exponent| of '1e-30000000' exceeds 100000\n",
+            ),
         ],
     )
     def test_documented_exit(self, tmp_path, argv, code, err_line):

@@ -98,6 +98,16 @@ class TestParse:
             str(lv)
         assert exact_str(-(10**4000)) == "-1" + "0" * 4000
 
+    def test_exponent_bound(self):
+        assert parse_length_vector("1e100000,1E-1_00_000,1").n == 3
+        for tok in ("1e100001", "-.5E-100001", "1.e+100_001"):
+            with pytest.raises(OutOfRange, match="exceeds 100000"):
+                parse_length_vector(f"{tok},1,1")
+        # past the bound, a token Fraction would refuse is still malformed
+        for tok in ("1/2e100001", "x1e100001", "1e2e100001"):
+            with pytest.raises(MalformedNumber):
+                parse_length_vector(f"{tok},1,1")
+
     def test_whitespace_and_commas_mix(self):
         assert parse_length_vector(" 1, 2\t2  2,4 ,4 ").entries == (1, 2, 2, 2, 4, 4)
 
