@@ -28,7 +28,6 @@ from .lengths import (
     LengthVector,
     check_enumeration_width,
     indices_of_mask,
-    mask_key,
     reject_median,
     top_excess,
 )
@@ -96,8 +95,20 @@ class ChamberSignature:
             sort_keys=True,
         ).encode()
 
+    @cached_property
+    def walls(self) -> tuple[int, ...]:
+        """The masks whose flip keeps the family closed: the maximal members,
+        then the minimal non-members, each ascending.  Complementing a mask
+        reverses the order, so the maximal members are the complements of
+        the minimal members of the reversed complement."""
+        member = self.members()
+        full = member.size - 1
+        minimal = np.flatnonzero(~member & _closed_below(member))
+        maximal = full - np.flatnonzero(member[::-1] & _closed_below(~member[::-1]))
+        return tuple(maximal[::-1].tolist() + minimal.tolist())
+
     def family_indices(self) -> list[list[int]]:
-        return [list(indices_of_mask(m)) for m in sorted(self.masks(), key=mask_key)]
+        return [list(indices_of_mask(m)) for m in sorted(self.masks(), key=indices_of_mask)]
 
 
 class ChamberComparison(NamedTuple):
@@ -122,8 +133,8 @@ def same_chamber_up_to_permutation(
     n adjoined."""
     if first.n != second.n:
         raise DimensionMismatch(f"n={first.n} vs n={second.n}")
-    a = chamber_signature(first.ordered()[0])
-    b = chamber_signature(second.ordered()[0])
+    a = chamber_signature(first.ordered())
+    b = chamber_signature(second.ordered())
     return _compare_families(a, b)
 
 
@@ -138,7 +149,7 @@ def _compare_families(a: ChamberSignature, b: ChamberSignature) -> ChamberCompar
 
 def _smallest_mask(masks: Collection[int]) -> int:
     """The smallest of nonempty ``masks`` in index-tuple order, that is
-    ``min(masks, key=mask_key)`` without a key call per mask.
+    ``min(masks, key=indices_of_mask)`` without a key call per mask.
 
     Descends one lowest bit at a time: a prefix that is itself a member is
     the answer, else the members extending it continue with the smallest
@@ -181,18 +192,6 @@ def _missing_predecessor(m: int, member: np.ndarray) -> int:
     return next(p for b in bits for p in (m ^ b, m ^ b | b >> 1) if not member[p])
 
 
-def _minimal_nonmembers(member: np.ndarray) -> list[int]:
-    """Non-members whose immediate predecessors are all members, ascending."""
-    return np.flatnonzero(~member & _closed_below(member)).tolist()
-
-
-def _maximal_members(member: np.ndarray) -> list[int]:
-    """Members with no member immediately above, ascending: complementing
-    reverses the order, hence the reversed complement."""
-    full = member.size - 1
-    return [full ^ m for m in reversed(_minimal_nonmembers(~member[::-1]))]
-
-
 def realize_signature(candidate: ChamberSignature) -> LengthVector | None:
     """Produce an ordered generic vector with the candidate signature.
 
@@ -222,10 +221,11 @@ def realize_signature(candidate: ChamberSignature) -> LengthVector | None:
         """l_J + l_n plus or minus the slack, for the subset J with mask m."""
         return [m >> i & 1 for i in range(width)] + [1, slack]
 
-    for m in _maximal_members(member):
-        cons.append(exactlp.constraint(row_of(m, 1), exactlp.LESS_EQUAL, half))
-    for m in _minimal_nonmembers(member):
-        cons.append(exactlp.constraint(row_of(m, -1), exactlp.GREATER_EQUAL, half))
+    for m in candidate.walls:
+        if member[m]:
+            cons.append(exactlp.constraint(row_of(m, 1), exactlp.LESS_EQUAL, half))
+        else:
+            cons.append(exactlp.constraint(row_of(m, -1), exactlp.GREATER_EQUAL, half))
 
     result = exactlp.maximize([0] * n + [1], cons)
     if result.status != exactlp.OPTIMAL or result.objective <= 0:
@@ -287,8 +287,9 @@ def enumerate_chambers(n: int) -> CensusResult:
     infeasible: set[bytes] = set()
     frontier = [start]
     while frontier:
-        member = frontier.pop().members()
-        for m in _maximal_members(member) + _minimal_nonmembers(member):
+        chamber = frontier.pop()
+        member = chamber.members()
+        for m in chamber.walls:
             member[m] ^= True
             bitmap = _pack(member)
             member[m] ^= True

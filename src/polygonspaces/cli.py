@@ -22,17 +22,7 @@ from .cohomology import (
     recognize_special,
     ring_presentation,
 )
-from .errors import (
-    DimensionMismatch,
-    EntryNotPositive,
-    MalformedCandidate,
-    MalformedNumber,
-    NotGeneric,
-    NotOrdered,
-    PolygonSpacesError,
-    TooFewEntries,
-    UnsupportedDimension,
-)
+from .errors import DimensionMismatch, InputError, NotGeneric, PolygonSpacesError
 from .lengths import LengthVector, exact_str, indices_of_mask, parse_length_vector
 from .morse import (
     EmptySpaceCertificate,
@@ -47,22 +37,8 @@ EXIT_INPUT = 1
 EXIT_EMPTY = 2
 EXIT_LIMIT = 3
 
-_INPUT_ERRORS = (
-    MalformedNumber,
-    EntryNotPositive,
-    TooFewEntries,
-    NotOrdered,
-    NotGeneric,
-    DimensionMismatch,
-    UnsupportedDimension,
-    MalformedCandidate,
-    OSError,
-    UnicodeDecodeError,
-)
-#: every other typed error: caps, census range and integers too long to
-#: print (OutOfRange, SearchTooLarge), solver and float failures
-#: (ConvergenceFailure, DegenerateConfiguration), failed exact
-#: certificates (CertificateFailure); and allocations no machine can
+_INPUT_ERRORS = (InputError, OSError, UnicodeDecodeError)
+#: every other typed error (see errors.py), and allocations no machine can
 #: serve, such as a huge --d in verify
 _LIMIT_ERRORS = (PolygonSpacesError, MemoryError)
 
@@ -90,16 +66,6 @@ def _require_d(args: argparse.Namespace) -> int:
     return args.d
 
 
-#: errors that reject one line of a classify-file input, not the whole file
-_LINE_ERRORS = (
-    MalformedNumber,
-    EntryNotPositive,
-    TooFewEntries,
-    NotGeneric,
-    DimensionMismatch,
-)
-
-
 def _read_records(
     path: str, d: int
 ) -> tuple[list[LengthVector], list[VectorRecord], list[str]]:
@@ -107,7 +73,7 @@ def _read_records(
     error line for every rejected one: unparsable, nongeneric, or with an
     n other than the first accepted line's."""
     vectors, records, rejected = [], [], []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for number, line in enumerate(handle, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -120,7 +86,7 @@ def _read_records(
                     )
                 records.append(VectorRecord.of(lv, d))
                 vectors.append(lv)
-            except _LINE_ERRORS as exc:
+            except InputError as exc:
                 rejected.append(f"error: line {number}: {exc}\n")
     return vectors, records, rejected
 
@@ -131,7 +97,7 @@ def _read_records(
 
 def _cmd_betti(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     d = _require_d(args)
-    lv = parse_length_vector(args.l).ordered()[0]
+    lv = parse_length_vector(args.l).ordered()
     doc = betti_table(lv, d).to_json_obj()
     empty = not doc["betti"]
     if args.json:
@@ -159,7 +125,7 @@ def _cmd_betti(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
 def _cmd_ring(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     d = _require_d(args)
-    lv = parse_length_vector(args.l).ordered()[0]
+    lv = parse_length_vector(args.l).ordered()
     doc = betti_table(lv, d).to_json_obj()
     empty = not doc["betti"]
     doc["ring"] = ring = ring_presentation(lv, d).to_json_obj()
@@ -234,7 +200,7 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     d = _require_d(args)
     if args.seed < 0:
         raise _UsageError(f"--seed must be non-negative, got {args.seed}")
-    lv = parse_length_vector(args.l).ordered()[0]
+    lv = parse_length_vector(args.l).ordered()
     records = critical_data(lv, d)
     solved = find_polygon(lv, d, seed=args.seed)
     doc = {

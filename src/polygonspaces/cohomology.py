@@ -31,7 +31,6 @@ from .lengths import (
     classify_subset,
     indices_of_mask,
     mask_from_indices,
-    mask_key,
     subset_sizes,
     top_excess,
 )
@@ -167,7 +166,7 @@ def ring_presentation(lv: LengthVector, d: int) -> RingPresentation:
         minimal.reshape(-1, 2, step)[:, 1] &= ~long.reshape(-1, 2, step)[:, 0]
     singletons = long[1 << np.arange(lv.n - 1)].tolist()
     pruned = tuple(j for j, is_long in enumerate(singletons, 1) if is_long)
-    generators = sorted(np.flatnonzero(minimal).tolist(), key=mask_key)
+    generators = sorted(np.flatnonzero(minimal).tolist(), key=indices_of_mask)
     return RingPresentation(lv.n, d, pruned, tuple(generators))
 
 
@@ -277,8 +276,8 @@ def classify_pair(first: LengthVector, second: LengthVector, d: int) -> PairVerd
     _require_dimension(d)
     if first.n != second.n:
         raise DimensionMismatch(f"n={first.n} vs n={second.n}")
-    s1 = first.ordered()[0]
-    s2 = second.ordered()[0]
+    s1 = first.ordered()
+    s2 = second.ordered()
     cmp = same_chamber_up_to_permutation(s1, s2)
     betti_equal = betti_table(s1, d).dims == betti_table(s2, d).dims
     return _verdict(cmp, betti_equal)
@@ -311,7 +310,7 @@ class VectorRecord:
     @classmethod
     def of(cls, lv: LengthVector, d: int) -> "VectorRecord":
         _require_dimension(d)
-        s = lv.ordered()[0]
+        s = lv.ordered()
         return cls(s, d, chamber_signature(s), betti_table(s, d).dims)
 
     @property

@@ -68,11 +68,6 @@ def complement_mask(mask: int, n: int) -> int:
     return ~mask & ((1 << n) - 1)
 
 
-def mask_key(mask: int) -> tuple[int, ...]:
-    """Sort key realizing the index-tuple lexicographic order on subsets."""
-    return indices_of_mask(mask)
-
-
 def _doubling(steps: Sequence[int], dtype) -> np.ndarray:
     """table[mask] = sum of the steps whose bits are set in mask."""
     table = np.zeros(1 << len(steps), dtype=dtype)
@@ -187,13 +182,9 @@ class LengthVector:
     def is_ordered(self) -> bool:
         return all(a <= b for a, b in zip(self.entries, self.entries[1:]))
 
-    def ordered(self) -> tuple["LengthVector", tuple[int, ...]]:
-        """Sorted copy plus the 1-based source index of every sorted slot."""
-        perm = sorted(range(self.n), key=lambda i: (self.entries[i], i))
-        return (
-            LengthVector(tuple(self.entries[i] for i in perm)),
-            tuple(i + 1 for i in perm),
-        )
+    def ordered(self) -> "LengthVector":
+        """Copy with the entries in nondecreasing order."""
+        return LengthVector(tuple(sorted(self.entries)))
 
     def __str__(self) -> str:
         return _fmt_entries(self.entries)

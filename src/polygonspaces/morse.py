@@ -31,7 +31,6 @@ from .lengths import (
     complement_mask,
     excess,
     indices_of_mask,
-    mask_key,
     reject_median,
     subset_sizes,
     top_excess,
@@ -39,6 +38,9 @@ from .lengths import (
 
 UNIT_NORM_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
+#: the solver's budget: random starts, and descent sweeps per start
+MAX_RESTARTS = 8
+MAX_SWEEPS = 2000
 RANK_TOL = 1e-8
 
 
@@ -91,12 +93,7 @@ def energy(lv: LengthVector, config: PolygonConfiguration) -> float:
 
 
 def find_polygon(
-    lv: LengthVector,
-    d: int,
-    seed: int = 0,
-    tol: float = RESIDUAL_TOL,
-    max_restarts: int = 8,
-    max_sweeps: int = 2000,
+    lv: LengthVector, d: int, seed: int = 0
 ) -> PolygonConfiguration | EmptySpaceCertificate:
     """Close the polygon numerically, or certify that none exists.
 
@@ -110,11 +107,6 @@ def find_polygon(
     """
     if d < 2:
         raise UnsupportedDimension(f"directions need d >= 2, got {d}")
-    if max_restarts < 1 or max_sweeps < 1:
-        raise ValueError(
-            "max_restarts and max_sweeps must be positive, "
-            f"got {max_restarts} and {max_sweeps}"
-        )
     n = lv.n
     top = max(range(n), key=lambda i: lv.entries[i])
     deficit = excess(lv, 1 << top)
@@ -128,15 +120,15 @@ def find_polygon(
         u[top, 0] = 1.0
         res = float(np.linalg.norm(lengths @ u))
         return PolygonConfiguration(d, u, res)
-    target = tol * perimeter
+    target = RESIDUAL_TOL * perimeter
     rng = np.random.default_rng(seed)
     best = math.inf
     total_sweeps = 0
-    for restart in range(max_restarts):
+    for restart in range(MAX_RESTARTS):
         u = rng.normal(size=(n, d))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         checkpoint = math.inf
-        for sweep in range(1, max_sweeps + 1):
+        for sweep in range(1, MAX_SWEEPS + 1):
             total = lengths @ u  # refreshed once a sweep against drift
             for j in range(n):
                 s = total - lengths[j] * u[j]
@@ -154,7 +146,7 @@ def find_polygon(
                 checkpoint = res
         best = min(best, res)
     raise ConvergenceFailure(
-        f"no closure below {target:.3g} in {max_restarts} restarts "
+        f"no closure below {target:.3g} in {MAX_RESTARTS} restarts "
         f"(best residual {best:.3g})",
         best_residual=best,
     )
@@ -287,7 +279,7 @@ def critical_data(lv: LengthVector, d: int) -> list[CriticalSubmanifoldData]:
                 hessian_signature=hessian_signature(lv, rep),
             )
         )
-    records.sort(key=lambda r: (r.critical_value, mask_key(r.subset)))
+    records.sort(key=lambda r: (r.critical_value, indices_of_mask(r.subset)))
     return records
 
 

@@ -12,6 +12,7 @@ from polygonspaces import (
     PairVerdict,
     betti_table,
     chamber_signature,
+    indices_of_mask,
     is_generic,
 )
 from polygonspaces.errors import DimensionMismatch, UnsupportedDimension
@@ -25,7 +26,6 @@ from polygonspaces.exactlp import (
     Constraint,
     LPResult,
 )
-from polygonspaces.lengths import mask_key
 
 
 @st.composite
@@ -122,12 +122,12 @@ def oracle_classify_pair(first, second, d):
         raise UnsupportedDimension(f"the classification needs d >= 3, got {d}")
     if first.n != second.n:
         raise DimensionMismatch(f"n={first.n} vs n={second.n}")
-    s1 = first.ordered()[0]
-    s2 = second.ordered()[0]
+    s1 = first.ordered()
+    s2 = second.ordered()
     a = set(chamber_signature(s1).masks())
     b = set(chamber_signature(s2).masks())
     same = a == b
-    witness = None if same else min(a ^ b, key=mask_key) | 1 << (first.n - 1)
+    witness = None if same else min(a ^ b, key=indices_of_mask) | 1 << (first.n - 1)
     betti_equal = betti_table(s1, d).dims == betti_table(s2, d).dims
     if same:
         notes = "same chamber after sorting"

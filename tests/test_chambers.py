@@ -20,13 +20,13 @@ from polygonspaces import (
     LengthVector,
     chamber_signature,
     enumerate_chambers,
+    indices_of_mask,
     is_generic,
     mask_from_indices,
     parse_length_vector,
     realize_signature,
     same_chamber_up_to_permutation,
 )
-from polygonspaces.lengths import mask_key
 from polygonspaces.errors import (
     CertificateFailure,
     DimensionMismatch,
@@ -204,7 +204,7 @@ class TestSmallestMask:
     @given(st.frozensets(_MASKS, min_size=1))
     @settings(max_examples=300)
     def test_matches_key_order(self, masks):
-        assert chambers._smallest_mask(masks) == min(masks, key=mask_key)
+        assert chambers._smallest_mask(masks) == min(masks, key=indices_of_mask)
 
     def test_prefix_beats_its_extensions(self):
         # (1, 2) < (1, 2, 5) < (1, 3) < (2,) in index-tuple order
@@ -309,6 +309,18 @@ class TestCensus:
         with pytest.raises(OutOfRange):
             enumerate_chambers(n)
 
+    def test_walls_found_once_per_candidate(self, monkeypatch):
+        # n = 7 runs 161 LPs, 135 of them feasible: each candidate costs one
+        # closure check and two wall scans, each feasible round trip one
+        # more check; a popped chamber flips its cached walls
+        calls = []
+        closed_below = chambers._closed_below
+        monkeypatch.setattr(
+            chambers, "_closed_below", lambda member: calls.append(1) or closed_below(member)
+        )
+        assert enumerate_chambers(7).count == 135
+        assert len(calls) == 3 * 161 + 135
+
 
 @st.composite
 def candidate_families(draw):
@@ -336,6 +348,15 @@ class TestClosureProperty:
         except (MalformedCandidate, TooFewEntries):
             accepted = False
         assert accepted == (n >= 3 and oracle_downward_closed(n, fam))
+
+    @given(st.integers(3, 6), st.data())
+    @settings(max_examples=100)
+    def test_walls_are_the_closed_flips(self, n, data):
+        masks = st.integers(0, (1 << (n - 1)) - 1)
+        fam = downward_closure(n, data.draw(st.lists(masks, max_size=3)))
+        flips = [m for m in range(1 << (n - 1)) if oracle_downward_closed(n, fam ^ {m})]
+        expected = [m for m in flips if m in fam] + [m for m in flips if m not in fam]
+        assert ChamberSignature.from_masks(n, fam).walls == tuple(expected)
 
 
 class TestEquivalenceProperties:

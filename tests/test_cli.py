@@ -11,6 +11,7 @@ from polygonspaces import (
     chamber_signature,
     cli,
     cohomology,
+    errors,
     indices_of_mask,
     lengths,
     parse_length_vector,
@@ -262,6 +263,17 @@ class TestClassifyFile:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "utf-8" in err
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # editors such as Notepad save UTF-8 with a leading BOM
+        text = "1,2,2,2,4,4\n1,1,3,4,8,8\n"
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        expected = invoke("classify-file", "--file", str(plain), "--d", "3")
+        assert expected[0] == 0
+        assert invoke("classify-file", "--file", str(marked), "--d", "3") == expected
 
 
 def _seeded_lines(n, high, seed, k=10, dups=3):
@@ -530,6 +542,45 @@ class TestNoTraceback:
             assert out == ""
             assert err == err_line
         assert "Traceback" not in err
+
+
+#: the input errors (exit 1); every other typed error is a limit (exit 3)
+_INPUT_ERROR_NAMES = {
+    "MalformedNumber",
+    "EntryNotPositive",
+    "TooFewEntries",
+    "NotOrdered",
+    "NotGeneric",
+    "DimensionMismatch",
+    "UnsupportedDimension",
+    "MalformedCandidate",
+}
+_TYPED_ERRORS = [
+    cls
+    for cls in vars(errors).values()
+    if isinstance(cls, type)
+    and issubclass(cls, errors.PolygonSpacesError)
+    and cls not in (errors.PolygonSpacesError, errors.InputError)
+]
+
+
+class TestExitClasses:
+    def test_input_errors_are_exactly_these(self):
+        inputs = {cls.__name__ for cls in _TYPED_ERRORS if issubclass(cls, errors.InputError)}
+        assert inputs == _INPUT_ERROR_NAMES
+
+    @pytest.mark.parametrize("cls", _TYPED_ERRORS, ids=lambda cls: cls.__name__)
+    def test_exit_code_follows_the_class(self, monkeypatch, cls):
+        def fail(args, out, err):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "_cmd_census", fail)
+        code, out, err = invoke("census", "--n", "4")
+        if cls.__name__ in _INPUT_ERROR_NAMES:
+            assert (code, err) == (1, "error: boom\n")
+        else:
+            assert (code, err) == (3, "limit: boom\n")
+        assert out == ""
 
 
 def _scaled(entries, scale) -> str:

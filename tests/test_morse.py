@@ -16,6 +16,7 @@ from helpers import (
     oracle_integer_inertia,
     oracle_top_excess,
 )
+from polygonspaces import morse
 from polygonspaces import (
     EmptySpaceCertificate,
     LengthVector,
@@ -116,14 +117,17 @@ class TestFindPolygon:
         assert a.residual == b.residual and a.sweeps == b.sweeps
         assert np.array_equal(a.u, b.u)
 
-    def test_monotone_residual_history(self):
-        # tol=0 is never met, so each run stops after exactly k sweeps of
-        # one start and reports the residual it reached there
+    def test_monotone_residual_history(self, monkeypatch):
+        # a zero tolerance is never met, so each run stops after exactly k
+        # sweeps of one start and reports the residual it reached there
+        monkeypatch.setattr(morse, "RESIDUAL_TOL", 0.0)
+        monkeypatch.setattr(morse, "MAX_RESTARTS", 1)
         lv = parse_length_vector("1,2,2,3,5")
         hist = []
         for k in range(1, 41):
+            monkeypatch.setattr(morse, "MAX_SWEEPS", k)
             with pytest.raises(ConvergenceFailure) as info:
-                find_polygon(lv, 4, seed=3, tol=0.0, max_restarts=1, max_sweeps=k)
+                find_polygon(lv, 4, seed=3)
             hist.append(info.value.best_residual)
         for earlier, later in zip(hist, hist[1:]):
             assert later <= earlier * (1 + 1e-12) + 1e-15 * lv.total
@@ -153,10 +157,12 @@ class TestFindPolygon:
         assert (cfg.sweeps, cfg.restarts) == (0, 0)
         assert energy(lv, cfg) == 0.0
 
-    def test_convergence_failure_reports_best_residual(self):
+    def test_convergence_failure_reports_best_residual(self, monkeypatch):
         # a zero target is never met: descent must give up and say how close
+        monkeypatch.setattr(morse, "RESIDUAL_TOL", 0.0)
+        monkeypatch.setattr(morse, "MAX_RESTARTS", 2)
         with pytest.raises(ConvergenceFailure) as info:
-            find_polygon(parse_length_vector("1,2,2,3,5"), 3, tol=0.0, max_restarts=2)
+            find_polygon(parse_length_vector("1,2,2,3,5"), 3)
         assert info.value.best_residual is not None
         assert 0.0 <= info.value.best_residual < 1e-9 * 13
 
@@ -174,15 +180,6 @@ class TestFindPolygon:
         lengths, perimeter = _as_floats(lv)
         assert np.array_equal(lengths, np.asarray(lv.entries, dtype=float))
         assert perimeter == float(lv.total)
-
-    @pytest.mark.parametrize(
-        "budget", [{"max_sweeps": 0}, {"max_restarts": 0}, {"max_sweeps": -1}]
-    )
-    def test_nonpositive_budget_rejected(self, budget):
-        # max_sweeps=0 used to reach the residual check with nothing bound
-        for text in ("1,2,2,3,5", "1,1,3"):
-            with pytest.raises(ValueError, match="must be positive"):
-                find_polygon(parse_length_vector(text), 3, **budget)
 
     def test_unordered_empty_detection(self):
         # the dominating side need not sit last for library calls
