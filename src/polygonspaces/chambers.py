@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Collection, Iterable, NamedTuple
 
@@ -196,19 +195,18 @@ def realize_signature(candidate: ChamberSignature) -> LengthVector | None:
     """Produce an ordered generic vector with the candidate signature.
 
     Exact LP over l_1..l_n and one slack: the perimeter is normalized to
-    one, dominance-maximal members must stay below half perimeter and
-    dominance-minimal non-members above it, each by at least the slack.
-    The family is realizable exactly when the optimal slack is positive;
-    every other subset constraint follows by monotonicity of ordered
-    sums along the dominance order.
+    two, so every row is integral; dominance-maximal members must stay
+    below half perimeter and dominance-minimal non-members above it, each
+    by at least the slack.  The family is realizable exactly when the
+    optimal slack is positive; every other subset constraint follows by
+    monotonicity of ordered sums along the dominance order.
     """
     n = candidate.n
     width = n - 1
     member = candidate.members()
-    half = Fraction(1, 2)
     zeros = [0] * (n + 1)
 
-    cons = [exactlp.constraint([1] * n + [0], exactlp.EQUAL, 1)]
+    cons = [exactlp.constraint([1] * n + [0], exactlp.EQUAL, 2)]
     row = zeros[:]
     row[0], row[n] = 1, -1
     cons.append(exactlp.constraint(row, exactlp.GREATER_EQUAL, 0))
@@ -223,9 +221,9 @@ def realize_signature(candidate: ChamberSignature) -> LengthVector | None:
 
     for m in candidate.walls:
         if member[m]:
-            cons.append(exactlp.constraint(row_of(m, 1), exactlp.LESS_EQUAL, half))
+            cons.append(exactlp.constraint(row_of(m, 1), exactlp.LESS_EQUAL, 1))
         else:
-            cons.append(exactlp.constraint(row_of(m, -1), exactlp.GREATER_EQUAL, half))
+            cons.append(exactlp.constraint(row_of(m, -1), exactlp.GREATER_EQUAL, 1))
 
     result = exactlp.maximize([0] * n + [1], cons)
     if result.status != exactlp.OPTIMAL or result.objective <= 0:

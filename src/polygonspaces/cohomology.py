@@ -130,10 +130,6 @@ class RingPresentation:
     minimal_generators: tuple[int, ...]  # inclusion-antichain of masks
 
     @property
-    def generator_degree(self) -> int:
-        return self.d - 1
-
-    @property
     def is_zero_ring(self) -> bool:
         return 0 in self.minimal_generators
 

@@ -1,29 +1,24 @@
-"""Exact rational linear programming: dense two-phase simplex.
+"""Exact linear programming on integer rows: dense two-phase simplex.
 
-The tableau is held as integer rows over one shared positive denominator
-d, and pivots are fraction-free (Bareiss 1968, Edmonds).  Each constraint
-row is scaled by the lcm of its own denominators while its slack and
-artificial entries stay +-1, so the starting basis is the identity and
-d = 1.  Every later tableau is then +-adj(B) A over d = |det B| for the
-current basis B.  A pivot divides an integer combination of two rows by
-the previous d, and the quotient is an entry of +-adj(B') A for the next
-basis B', so by Sylvester's identity the division is exact.  Dropping a
-redundant row keeps this: its artificial would stay basic, and the row
-would take no part in later pivots.  Feasibility, infeasibility and
-optimality are thus certified exactly without a single gcd inside the
-pivot loop.
-
-The scaling only rescales slack and artificial variables, so with the
-phase 1 costs rescaled to match, every reduced cost keeps its sign and
-every ratio its order: Bland's rule takes the same decisions as on the
-rational tableau and ends on the same vertex.  It guarantees
-termination.  Intended for the small strict-feasibility systems of the
-chamber module, not for large programs.
+Coefficients, right-hand sides and objectives are integers; the optimum
+and its vertex come back as exact rationals.  The tableau is held as
+integer rows over one shared positive denominator d, and pivots are
+fraction-free (Bareiss 1968, Edmonds).  Slack and artificial entries are
++-1, so the starting basis is the identity and d = 1.  Every later
+tableau is then +-adj(B) A over d = |det B| for the current basis B.  A
+pivot divides an integer combination of two rows by the previous d, and
+the quotient is an entry of +-adj(B') A for the next basis B', so by
+Sylvester's identity the division is exact.  Dropping a redundant row
+keeps this: its artificial would stay basic, and the row would take no
+part in later pivots.  Feasibility, infeasibility and optimality are thus
+certified exactly without a single gcd inside the pivot loop.  Bland's
+rule guarantees termination.  Intended for the small strict-feasibility
+systems of the chamber module, not for large programs.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -39,15 +34,16 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
     relation: str
-    rhs: Fraction
+    rhs: int
 
 
-def constraint(coeffs: Sequence, relation: str, rhs) -> Constraint:
+def constraint(coeffs: Sequence[int], relation: str, rhs: int) -> Constraint:
+    """An integer row; a Fraction or float coefficient raises TypeError."""
     if relation not in (LESS_EQUAL, GREATER_EQUAL, EQUAL):
         raise ValueError(f"unknown relation {relation!r}")
-    return Constraint(tuple(Fraction(c) for c in coeffs), relation, Fraction(rhs))
+    return Constraint(tuple(map(operator.index, coeffs)), relation, operator.index(rhs))
 
 
 @dataclass(frozen=True)
@@ -55,14 +51,6 @@ class LPResult:
     status: str
     objective: Fraction | None = None
     solution: tuple[Fraction, ...] | None = None
-
-
-def _scaled(values: Sequence[Fraction], scale: int) -> list[int]:
-    return [v.numerator * (scale // v.denominator) for v in values]
-
-
-def _common_denominator(values: Sequence[Fraction]) -> int:
-    return math.lcm(*(v.denominator for v in values))
 
 
 def _pivot(rows: list[list[int]], d: int, r: int, c: int) -> int:
@@ -121,9 +109,9 @@ def _simplex(
         basis[leaving] = entering
 
 
-def maximize(objective: Sequence, constraints: Sequence[Constraint]) -> LPResult:
+def maximize(objective: Sequence[int], constraints: Sequence[Constraint]) -> LPResult:
     """Solve max objective.x subject to the constraints and x >= 0."""
-    obj = [Fraction(c) for c in objective]
+    obj = list(map(operator.index, objective))
     nvars = len(obj)
     rows = []
     for con in constraints:
@@ -141,13 +129,10 @@ def maximize(objective: Sequence, constraints: Sequence[Constraint]) -> LPResult
     ncols = nvars + n_slack + n_art
     tableau: list[list[int]] = []
     basis: list[int] = []
-    #: row scale behind each artificial column, in column order
-    art_scales: list[int] = []
     slack_at = nvars
     art_at = nvars + n_slack
     for coeffs, rel, rhs in rows:
-        scale = _common_denominator(coeffs + [rhs])
-        row = _scaled(coeffs, scale) + [0] * (n_slack + n_art) + _scaled([rhs], scale)
+        row = coeffs + [0] * (n_slack + n_art) + [rhs]
         if rel == LESS_EQUAL:
             row[slack_at] = 1
             basis.append(slack_at)
@@ -158,22 +143,16 @@ def maximize(objective: Sequence, constraints: Sequence[Constraint]) -> LPResult
             row[art_at] = 1
             basis.append(art_at)
             art_at += 1
-            art_scales.append(scale)
         else:
             row[art_at] = 1
             basis.append(art_at)
             art_at += 1
-            art_scales.append(scale)
         tableau.append(row)
     d = 1
 
     art_start = nvars + n_slack
     if n_art:
-        # the artificial of a row scaled by s stands for s times the
-        # unscaled one, so minimizing the unscaled sum costs it 1/s; the
-        # lcm clears the denominators
-        lcm = math.lcm(*art_scales)
-        phase1 = [0] * art_start + [-(lcm // s) for s in art_scales]
+        phase1 = [0] * art_start + [-1] * n_art
         _, d = _simplex(tableau, basis, d, phase1, ncols)
         if any(row[-1] > 0 for row, b in zip(tableau, basis) if b >= art_start):
             return LPResult(INFEASIBLE)
@@ -192,7 +171,7 @@ def maximize(objective: Sequence, constraints: Sequence[Constraint]) -> LPResult
         tableau = [row[:art_start] + row[-1:] for row in tableau]
         ncols = art_start
 
-    cost = _scaled(obj, _common_denominator(obj)) + [0] * (ncols - nvars)
+    cost = obj + [0] * (ncols - nvars)
     status, d = _simplex(tableau, basis, d, cost, ncols)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)

@@ -157,14 +157,15 @@ class LengthVector:
 
     @classmethod
     def from_rationals(cls, values: Iterable[Fraction | int | str]) -> "LengthVector":
-        """Build from exact rationals by clearing denominators; the
-        constructor checks the count and the signs."""
+        """Build from exact rationals by clearing denominators; strings are
+        read as tokens of ``parse_length_vector``, and the constructor
+        checks the count and the signs."""
         values = list(values)
         if any(isinstance(v, float) for v in values):
             # a binary float is already corrupted; demand "0.15" instead
             raise MalformedNumber("floats are not exact; pass strings or Fractions")
         try:
-            fracs = [Fraction(v) for v in values]
+            fracs = [_parse_token(v) if isinstance(v, str) else Fraction(v) for v in values]
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedNumber(f"not a rational: {exc}") from exc
         denom = math.lcm(*(f.denominator for f in fracs))
@@ -196,6 +197,34 @@ _EXPONENT = re.compile(r"e([-+]?\d+(_\d+)*)\Z", re.IGNORECASE)
 #: largest |exponent| of a decimal token; ``Fraction`` builds 10**|exponent|
 #: exactly, in time superlinear in the exponent
 MAX_DECIMAL_EXPONENT = 10**5
+_DIGITS = re.compile(r"\d+")
+
+
+def _shown(tok: str) -> str:
+    """The token as a message repeats it: at most 40 characters, then its length."""
+    return repr(tok) if len(tok) <= 40 else f"{tok[:40]!r}... ({len(tok)} characters)"
+
+
+def _parse_token(tok: str) -> Fraction:
+    """One exact rational from a token such as "3/20", "0.15" or "2e3"."""
+    exp = _EXPONENT.search(tok)
+    try:
+        if exp and abs(int(exp[1])) > MAX_DECIMAL_EXPONENT:
+            Fraction(tok[: exp.start(1)] + "0")  # a malformed token reads as malformed
+            raise OutOfRange(f"|exponent| of {_shown(tok)} exceeds {MAX_DECIMAL_EXPONENT}")
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError) as exc:
+        failure = exc
+    try:
+        # a token that parses with each digit run cut to one digit of the
+        # same zeroness failed only on Python's int-from-str digit limit
+        Fraction(_DIGITS.sub(lambda run: "1" if run[0].strip("0") else "0", tok))
+    except (ValueError, ZeroDivisionError):
+        raise MalformedNumber(f"cannot parse {_shown(tok)} as a rational") from failure
+    digits = sum(map(len, _DIGITS.findall(tok)))
+    raise OutOfRange(
+        f"a token of {digits} digits exceeds Python's int-from-str digit limit"
+    ) from failure
 
 
 def parse_length_vector(text: str) -> LengthVector:
@@ -206,17 +235,7 @@ def parse_length_vector(text: str) -> LengthVector:
     tokens = [t for t in _TOKEN_SPLIT.split(text.strip()) if t]
     if not tokens:
         raise TooFewEntries("no entries found")
-    values = []
-    for tok in tokens:
-        exp = _EXPONENT.search(tok)
-        try:
-            if exp and abs(int(exp[1])) > MAX_DECIMAL_EXPONENT:
-                Fraction(tok[: exp.start(1)] + "0")  # a malformed token reads as malformed
-                raise OutOfRange(f"|exponent| of {tok!r} exceeds {MAX_DECIMAL_EXPONENT}")
-            values.append(Fraction(tok))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedNumber(f"cannot parse {tok!r} as a rational") from exc
-    return LengthVector.from_rationals(values)
+    return LengthVector.from_rationals(tokens)
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,8 @@ def _oracle_simplex(tableau: list[list[Fraction]], basis: list[int], cost: list[
 
 def oracle_maximize(objective: Sequence, constraints: Sequence[Constraint]) -> LPResult:
     """The Fraction-tableau simplex that exactlp.maximize replaced, kept
-    verbatim: every entry is a Fraction and every update pays a gcd.  It
+    verbatim but for reading the integer rows as Fractions: every entry is
+    a Fraction and every update pays a gcd.  It
     reads the column count from row 0, so it needs a row to survive phase 1
     (any inequality row does)."""
     obj = [Fraction(c) for c in objective]
@@ -190,7 +191,7 @@ def oracle_maximize(objective: Sequence, constraints: Sequence[Constraint]) -> L
     for con in constraints:
         if len(con.coeffs) != nvars:
             raise ValueError("constraint width does not match the objective")
-        coeffs, rel, rhs = list(con.coeffs), con.relation, con.rhs
+        coeffs, rel, rhs = [Fraction(c) for c in con.coeffs], con.relation, Fraction(con.rhs)
         if rhs < 0:
             coeffs = [-c for c in coeffs]
             rhs = -rhs

@@ -14,7 +14,7 @@ from helpers import (
     oracle_downward_closed,
     oracle_top_excess,
 )
-from polygonspaces import chambers
+from polygonspaces import chambers, exactlp
 from polygonspaces import (
     ChamberSignature,
     LengthVector,
@@ -320,6 +320,16 @@ class TestCensus:
         )
         assert enumerate_chambers(7).count == 135
         assert len(calls) == 3 * 161 + 135
+
+    def test_lp_pivot_path(self, monkeypatch):
+        # the pivot count pins Bland's path through every LP, not only the
+        # vertices it ends on
+        lps, pivots = [], []
+        maximize, pivot = exactlp.maximize, exactlp._pivot
+        monkeypatch.setattr(exactlp, "maximize", lambda *a: lps.append(1) or maximize(*a))
+        monkeypatch.setattr(exactlp, "_pivot", lambda *a: pivots.append(1) or pivot(*a))
+        assert enumerate_chambers(7).count == 135
+        assert (len(lps), len(pivots)) == (161, 2804)
 
 
 @st.composite

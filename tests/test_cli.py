@@ -374,6 +374,11 @@ class TestClassifyFileOracle:
         assert calls == {"chamber_signature": len(lines), "subset_sums": 2 * len(lines)}
 
 
+#: 5,000 digits, past Python's 4,300-digit int-from-str limit
+LONG_DIGITS = "9" * 5000
+LONG_DIGITS_LIMIT = "limit: a token of 5000 digits exceeds Python's int-from-str digit limit\n"
+
+
 class TestClassifyFileBadLines:
     """A bad line is reported on its own; the accepted lines are classified
     exactly as a file holding only them."""
@@ -389,6 +394,12 @@ class TestClassifyFileBadLines:
             ("1,2,x,3", "cannot parse 'x' as a rational"),
             ("1,0,2,3", "side lengths must be positive: (1, 0, 2, 3)"),
             ("1,2", "need at least 3 sides, got 2"),
+            # a megabyte token is repeated only in part
+            pytest.param(
+                "1,2," + "x" * 10**6 + ",3",
+                f"cannot parse {'x' * 40!r}... (1000000 characters) as a rational",
+                id="megabyte-token",
+            ),
         ],
     )
     def test_middle_line_rejected(self, tmp_path, bad, err_line, json_flag):
@@ -437,6 +448,13 @@ class TestClassifyFileBadLines:
         assert code == 3
         assert out == ""
         assert err == "limit: n=25 exceeds the subset-enumeration cap 24\n"
+
+    def test_long_literal_aborts_the_file(self, tmp_path):
+        lines = ["1,2,2,3", f"{LONG_DIGITS},1,1", "1,1,1"]
+        code, out, err = invoke("classify-file", "--d", "3", "--file", _write(tmp_path, lines))
+        assert code == 3
+        assert out == ""
+        assert err == LONG_DIGITS_LIMIT
 
 
 class TestUsage:
@@ -527,6 +545,19 @@ class TestNoTraceback:
                 ("betti", "--d", "3", "--l", "1,1,1e-30000000"),
                 3,
                 "limit: |exponent| of '1e-30000000' exceeds 100000\n",
+            ),
+            # the magnitude of HUGE, spelled past Python's int-from-str limit
+            (("betti", "--d", "3", "--json", "--l", f"{LONG_DIGITS},1,1"), 3, LONG_DIGITS_LIMIT),
+            (
+                ("betti", "--d", "3", "--json", "--l", f"1/{LONG_DIGITS},1,1"),
+                3,
+                "limit: a token of 5001 digits exceeds Python's int-from-str digit limit\n",
+            ),
+            # a megabyte token is repeated only in part
+            (
+                ("betti", "--d", "3", "--l", "y" * 10**6 + ",1,1"),
+                1,
+                f"error: cannot parse {'y' * 40!r}... (1000000 characters) as a rational\n",
             ),
         ],
     )

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -58,8 +59,8 @@ def test_equality_and_fractions():
         [0, 0, 1],
         [
             constraint([1, 1, 0], EQUAL, 1),
-            constraint([1, 0, -1], GREATER_EQUAL, Fraction(1, 2)),
-            constraint([1, 0, 0], LESS_EQUAL, Fraction(3, 4)),
+            constraint([2, 0, -2], GREATER_EQUAL, 1),
+            constraint([4, 0, 0], LESS_EQUAL, 3),
         ],
     )
     assert res.status == OPTIMAL
@@ -74,7 +75,7 @@ def test_forced_slack_zero():
         [
             constraint([1, 1, 0], EQUAL, 1),
             constraint([1, -1, -1], GREATER_EQUAL, 0),
-            constraint([1, 0, 1], LESS_EQUAL, Fraction(1, 2)),
+            constraint([2, 0, 2], LESS_EQUAL, 1),
         ],
     )
     assert res.status == OPTIMAL
@@ -82,17 +83,18 @@ def test_forced_slack_zero():
 
 
 def test_degenerate_cycling_guard():
-    # Beale's example cycles under the naive most-negative rule
+    # Beale's example cycles under the naive most-negative rule; its
+    # objective is scaled by 100 and its rows by 100 and 50
     res = maximize(
-        [Fraction(3, 4), -150, Fraction(1, 50), -6],
+        [75, -15000, 2, -600],
         [
-            constraint([Fraction(1, 4), -60, Fraction(-1, 25), 9], LESS_EQUAL, 0),
-            constraint([Fraction(1, 2), -90, Fraction(-1, 50), 3], LESS_EQUAL, 0),
+            constraint([25, -6000, -4, 900], LESS_EQUAL, 0),
+            constraint([25, -4500, -1, 150], LESS_EQUAL, 0),
             constraint([0, 0, 1, 0], LESS_EQUAL, 1),
         ],
     )
     assert res.status == OPTIMAL
-    assert res.objective == Fraction(1, 20)
+    assert res.objective == 5
 
 
 def test_redundant_equalities():
@@ -101,7 +103,7 @@ def test_redundant_equalities():
         [
             constraint([1, 1], EQUAL, 1),
             constraint([2, 2], EQUAL, 2),
-            constraint([1, 0], LESS_EQUAL, Fraction(1, 3)),
+            constraint([3, 0], LESS_EQUAL, 1),
         ],
     )
     assert res.status == OPTIMAL
@@ -178,10 +180,17 @@ def test_no_rows_left(objective, constraints, status):
         assert res.solution == (0,)
 
 
+def _integral(values):
+    """The values times the lcm of their denominators."""
+    scale = math.lcm(*(Fraction(v).denominator for v in values))
+    return [int(v * scale) for v in values]
+
+
 def _random_lp(rng):
-    """Mixed <=, >=, = rows with fractional coefficients, mostly feasible
-    at a random point x0 (often tightly, so degenerate), with redundant
-    scaled copies of equalities and right-hand sides of either sign."""
+    """Mixed <=, >=, = rows drawn with fractional coefficients, mostly
+    feasible at a random point x0 (often tightly, so degenerate), with
+    redundant scaled copies of equalities and right-hand sides of either
+    sign; each row and the objective are then cleared of denominators."""
 
     # half the programs are 0/1-like, as in the census, where ratio ties
     # are common
@@ -232,7 +241,11 @@ def _random_lp(rng):
         objective = [sign * c for c in coeffs]
     else:
         objective = [frac() for _ in range(nvars)]
-    return objective, [constraint(*r) for r in rows]
+    cons = []
+    for coeffs, rel, rhs in rows:
+        *coeffs, rhs = _integral(coeffs + [rhs])
+        cons.append(constraint(coeffs, rel, rhs))
+    return _integral(objective), cons
 
 
 def test_matches_fraction_oracle():
@@ -247,3 +260,13 @@ def test_matches_fraction_oracle():
         assert res == oracle_maximize(objective, constraints)
         statuses.add(res.status)
     assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2), 0.5, 1.0])
+def test_rows_are_integers(bad):
+    with pytest.raises(TypeError):
+        constraint([1, bad], LESS_EQUAL, 1)
+    with pytest.raises(TypeError):
+        constraint([1, 1], LESS_EQUAL, bad)
+    with pytest.raises(TypeError):
+        maximize([1, bad], [constraint([1, 1], LESS_EQUAL, 1)])

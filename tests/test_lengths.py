@@ -107,6 +107,25 @@ class TestParse:
             with pytest.raises(MalformedNumber):
                 parse_length_vector(f"{tok},1,1")
 
+    def test_digit_limit_is_a_limit(self):
+        # Python refuses str -> int beyond 4,300 digits in any digit run
+        long_tokens = (("9" * 5000, 5000), ("1/" + "7" * 5000, 5001), ("1e" + "1" * 4400, 4401))
+        for tok, digits in long_tokens:
+            with pytest.raises(OutOfRange, match=f"^a token of {digits} digits"):
+                parse_length_vector(f"{tok},1,1")
+        # a malformed or zero-denominator token stays malformed at any length
+        for tok in ("9" * 5000 + "x", "1/" + "0" * 5000, "1//" + "7" * 5000):
+            with pytest.raises(MalformedNumber, match=rf"\.\.\. \({len(tok)} characters\)"):
+                parse_length_vector(f"{tok},1,1")
+
+    def test_strings_are_parsed_as_tokens(self):
+        # from_rationals reads a string as parse_length_vector does
+        assert LengthVector.from_rationals(["0.15", "3/20", 1]).entries == (3, 3, 20)
+        with pytest.raises(OutOfRange, match="exceeds 100000"):
+            LengthVector.from_rationals(["1e999999999", 1, 1])
+        with pytest.raises(MalformedNumber, match=r"^cannot parse '1/0' as a rational$"):
+            LengthVector.from_rationals(["1/0", 1, 1])
+
     def test_whitespace_and_commas_mix(self):
         assert parse_length_vector(" 1, 2\t2  2,4 ,4 ").entries == (1, 2, 2, 2, 4, 4)
 
