@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from .lengths import (
     check_enumeration_width,
     indices_of_mask,
     reject_median,
+    shown_vector,
+    subset_rank,
     top_excess,
 )
 
@@ -107,7 +109,10 @@ class ChamberSignature:
         return tuple(maximal[::-1].tolist() + minimal.tolist())
 
     def family_indices(self) -> list[list[int]]:
-        return [list(indices_of_mask(m)) for m in sorted(self.masks(), key=indices_of_mask)]
+        """The members as index lists, in index-tuple order."""
+        masks = np.flatnonzero(self.members())
+        ordered = masks[subset_rank(self.n - 1)[masks].argsort()]
+        return [list(indices_of_mask(m)) for m in ordered.tolist()]
 
 
 class ChamberComparison(NamedTuple):
@@ -118,7 +123,7 @@ class ChamberComparison(NamedTuple):
 
 def chamber_signature(lv: LengthVector) -> ChamberSignature:
     if not lv.is_ordered:
-        raise NotOrdered(f"{lv} is not nondecreasing")
+        raise NotOrdered(f"{shown_vector(lv.entries)} is not nondecreasing")
     exc = top_excess(lv)
     reject_median(lv, exc)
     return ChamberSignature(lv.n, _pack(exc < 0))
@@ -142,24 +147,9 @@ def _compare_families(a: ChamberSignature, b: ChamberSignature) -> ChamberCompar
     mask of the symmetric difference, index-tuple order, with n adjoined."""
     if a == b:
         return ChamberComparison(True, None)
-    differ = np.flatnonzero(a.members() ^ b.members()).tolist()
-    return ChamberComparison(False, _smallest_mask(differ) | 1 << (a.n - 1))
-
-
-def _smallest_mask(masks: Collection[int]) -> int:
-    """The smallest of nonempty ``masks`` in index-tuple order, that is
-    ``min(masks, key=indices_of_mask)`` without a key call per mask.
-
-    Descends one lowest bit at a time: a prefix that is itself a member is
-    the answer, else the members extending it continue with the smallest
-    next index.  ``rest`` holds the extending members minus the prefix.
-    """
-    prefix, rest = 0, masks
-    while 0 not in rest:
-        low = min(r & -r for r in rest)
-        rest = [r ^ low for r in rest if r & -r == low]
-        prefix |= low
-    return prefix
+    differ = np.flatnonzero(a.members() ^ b.members())
+    smallest = int(differ[subset_rank(a.n - 1)[differ].argmin()])
+    return ChamberComparison(False, smallest | 1 << (a.n - 1))
 
 
 # ---------------------------------------------------------------------------

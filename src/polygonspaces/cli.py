@@ -52,8 +52,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt_subset(mask: int) -> str:
-    return "{" + ",".join(str(i) for i in indices_of_mask(mask)) + "}"
+def _fmt_subset(indices: Sequence[int]) -> str:
+    return "{" + ",".join(map(str, indices)) + "}"
 
 
 def _emit_json(doc: dict, out: TextIO) -> None:
@@ -153,7 +153,7 @@ def _verdict_line(verdict: PairVerdict) -> str:
     betti = "identical" if verdict.betti_equal else "differ"
     return (
         f"NOT diffeomorphic; Betti numbers {betti}; "
-        f"witness subset {_fmt_subset(verdict.witness)}"
+        f"witness subset {_fmt_subset(indices_of_mask(verdict.witness))}"
     )
 
 
@@ -189,7 +189,7 @@ def _cmd_census(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         out.write(f"n={census.n}: {census.count} chambers\n")
         for i, (sig, rep) in enumerate(census.chambers, 1):
             fam = (
-                " ".join(_fmt_subset(m) for m in sorted(sig.masks(), key=indices_of_mask))
+                " ".join(map(_fmt_subset, sig.family_indices()))
                 or "(empty space)"
             )
             out.write(f"[{i}] representative {rep}  short family: {fam}\n")
@@ -241,12 +241,12 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         out.write(f"critical records ({len(records)}):\n")
         for r, c in zip(records, doc["critical"]):
             out.write(
-                f"  J={_fmt_subset(r.subset)} value={c['value']} "
+                f"  J={_fmt_subset(c['subset'])} value={c['value']} "
                 f"index={r.index} signature={r.hessian_signature}\n"
             )
         if empty:
             out.write(
-                f"empty space: witness {_fmt_subset(solved.witness)}, "
+                f"empty space: witness {_fmt_subset(doc['realization']['witness'])}, "
                 f"exact min residual {doc['realization']['min_residual']}\n"
             )
         else:

@@ -31,6 +31,8 @@ from .lengths import (
     classify_subset,
     indices_of_mask,
     mask_from_indices,
+    shown_vector,
+    subset_rank,
     subset_sizes,
     top_excess,
 )
@@ -46,7 +48,7 @@ def _require_dimension(d: int) -> None:
 def short_median_counts(lv: LengthVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """a_k / b_k: short / median subsets containing n with k+1 elements."""
     if not lv.is_ordered:
-        raise NotOrdered(f"{lv} is not nondecreasing")
+        raise NotOrdered(f"{shown_vector(lv.entries)} is not nondecreasing")
     exc = top_excess(lv)
     sizes = subset_sizes(lv.n - 1)
     a = np.bincount(sizes[exc < 0], minlength=lv.n)
@@ -152,7 +154,7 @@ class RingPresentation:
 
 def ring_presentation(lv: LengthVector, d: int) -> RingPresentation:
     if not lv.is_ordered:
-        raise NotOrdered(f"{lv} is not nondecreasing")
+        raise NotOrdered(f"{shown_vector(lv.entries)} is not nondecreasing")
     _require_dimension(d)
     long = top_excess(lv) > 0
     # minimal: long, and long after no single deletion
@@ -162,7 +164,8 @@ def ring_presentation(lv: LengthVector, d: int) -> RingPresentation:
         minimal.reshape(-1, 2, step)[:, 1] &= ~long.reshape(-1, 2, step)[:, 0]
     singletons = long[1 << np.arange(lv.n - 1)].tolist()
     pruned = tuple(j for j, is_long in enumerate(singletons, 1) if is_long)
-    generators = sorted(np.flatnonzero(minimal).tolist(), key=indices_of_mask)
+    masks = np.flatnonzero(minimal)
+    generators = masks[subset_rank(lv.n - 1)[masks].argsort()].tolist()
     return RingPresentation(lv.n, d, pruned, tuple(generators))
 
 
@@ -174,7 +177,7 @@ def quotient_basis_dimensions(lv: LengthVector, d: int) -> dict[int, int]:
     oracle for the Betti numbers in degrees divisible by d-1.
     """
     if not lv.is_ordered:
-        raise NotOrdered(f"{lv} is not nondecreasing")
+        raise NotOrdered(f"{shown_vector(lv.entries)} is not nondecreasing")
     _require_dimension(d)
     exc = top_excess(lv)
     # S = J and S = J union {n} both survive
@@ -274,8 +277,10 @@ def classify_pair(first: LengthVector, second: LengthVector, d: int) -> PairVerd
         raise DimensionMismatch(f"n={first.n} vs n={second.n}")
     s1 = first.ordered()
     s2 = second.ordered()
-    cmp = same_chamber_up_to_permutation(s1, s2)
+    # Betti first: the chamber witness fills the cached rank table, which
+    # would otherwise be held through both Betti scans
     betti_equal = betti_table(s1, d).dims == betti_table(s2, d).dims
+    cmp = same_chamber_up_to_permutation(s1, s2)
     return _verdict(cmp, betti_equal)
 
 

@@ -9,6 +9,7 @@ no floating point is used anywhere in this module.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import re
@@ -96,6 +97,26 @@ def subset_sizes(width: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=1)
+def subset_rank(width: int) -> np.ndarray:
+    """Read-only int32 table: entry ``mask`` is the subset's position in
+    index-tuple order, the order of ``indices_of_mask`` tuples, so that
+    (1, 2) < (1, 2, 5) < (1, 3) < (2,).
+
+    That order is a preorder walk: S = {s_1 < ... < s_k} comes after its
+    k prefixes and after every subtree of a lower branch.  With R the mask
+    read backwards (index i weighs 2^(width-i)) the walk gives
+    rank = k + 2^width - R - (R & -R) for S nonempty, and rank 0 for the
+    empty set.
+    """
+    backwards = _doubling([1 << (width - 1 - i) for i in range(width)], np.int32)
+    table = (1 << width) - backwards - (backwards & -backwards)
+    table += subset_sizes(width)  # into int32: int8 plus 2^width would overflow
+    table[0] = 0
+    table.setflags(write=False)
+    return table
+
+
 # ---------------------------------------------------------------------------
 # length vectors
 
@@ -114,6 +135,31 @@ def exact_str(value: int) -> str:
 
 def _fmt_entries(entries: Sequence[int]) -> str:
     return "(" + ", ".join(map(exact_str, entries)) + ")"
+
+
+#: longest vector text an error message repeats
+MAX_SHOWN_VECTOR = 200
+#: entries past this many bits go by their bit length; their decimal form
+#: (at most 181 digits) stays below any int-to-str limit Python allows
+_SHOWN_BITS = 600
+
+
+def shown_vector(entries: Sequence[int]) -> str:
+    """The vector as an error message names it: in full when that takes at
+    most ``MAX_SHOWN_VECTOR`` characters, else its first entries and its
+    length.  Never raises, unlike ``str`` of a ``LengthVector``."""
+    # an entry takes at least three characters with its separator
+    parts = [
+        str(e) if e.bit_length() <= _SHOWN_BITS else f"<{e.bit_length()}-bit integer>"
+        for e in itertools.islice(entries, MAX_SHOWN_VECTOR // 3 + 1)
+    ]
+    text = "(" + ", ".join(parts) + ")"
+    if len(parts) == len(entries) and len(text) <= MAX_SHOWN_VECTOR:
+        return text
+    parts.append(f"... {len(entries)} entries")
+    while len(text := "(" + ", ".join(parts) + ")") > MAX_SHOWN_VECTOR:
+        del parts[-2]
+    return text
 
 
 class Kind(Enum):
@@ -147,9 +193,7 @@ class LengthVector:
         if len(entries) < 3:
             raise TooFewEntries(f"need at least 3 sides, got {len(entries)}")
         if any(e <= 0 for e in entries):
-            raise EntryNotPositive(
-                f"side lengths must be positive: {_fmt_entries(entries)}"
-            )
+            raise EntryNotPositive(f"side lengths must be positive: {shown_vector(entries)}")
         g = math.gcd(*entries)
         if g != 1:
             entries = tuple(e // g for e in entries)
@@ -166,7 +210,8 @@ class LengthVector:
             raise MalformedNumber("floats are not exact; pass strings or Fractions")
         try:
             fracs = [_parse_token(v) if isinstance(v, str) else Fraction(v) for v in values]
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
+            # OverflowError: an infinite Decimal; TypeError: not a number at all
             raise MalformedNumber(f"not a rational: {exc}") from exc
         denom = math.lcm(*(f.denominator for f in fracs))
         return cls(tuple(f.numerator * (denom // f.denominator) for f in fracs))
@@ -277,7 +322,9 @@ def reject_median(lv: LengthVector, exc: np.ndarray) -> None:
     medians = np.flatnonzero(exc == 0)
     if medians.size:
         mask = int(medians[0]) | 1 << (lv.n - 1)
-        raise NotGeneric(f"{lv} has the median subset {indices_of_mask(mask)}")
+        raise NotGeneric(
+            f"{shown_vector(lv.entries)} has the median subset {indices_of_mask(mask)}"
+        )
 
 
 def is_generic(lv: LengthVector) -> bool:

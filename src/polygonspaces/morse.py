@@ -32,6 +32,7 @@ from .lengths import (
     excess,
     indices_of_mask,
     reject_median,
+    subset_rank,
     subset_sizes,
     top_excess,
 )
@@ -279,7 +280,8 @@ def critical_data(lv: LengthVector, d: int) -> list[CriticalSubmanifoldData]:
                 hessian_signature=hessian_signature(lv, rep),
             )
         )
-    records.sort(key=lambda r: (r.critical_value, indices_of_mask(r.subset)))
+    rank = subset_rank(n)
+    records.sort(key=lambda r: (r.critical_value, rank[r.subset]))
     return records
 
 

@@ -20,7 +20,6 @@ from polygonspaces import (
     LengthVector,
     chamber_signature,
     enumerate_chambers,
-    indices_of_mask,
     is_generic,
     mask_from_indices,
     parse_length_vector,
@@ -190,27 +189,6 @@ class TestComparison:
         )
         assert not verdict.same
         assert verdict.witness == mask_from_indices((3,))
-
-
-#: the empty set, singletons, and masks past 2^23 (the widest scan at n = 24)
-_MASKS = st.one_of(
-    st.just(0),
-    st.integers(0, 30).map(lambda i: 1 << i),
-    st.integers(0, 2**26),
-)
-
-
-class TestSmallestMask:
-    @given(st.frozensets(_MASKS, min_size=1))
-    @settings(max_examples=300)
-    def test_matches_key_order(self, masks):
-        assert chambers._smallest_mask(masks) == min(masks, key=indices_of_mask)
-
-    def test_prefix_beats_its_extensions(self):
-        # (1, 2) < (1, 2, 5) < (1, 3) < (2,) in index-tuple order
-        masks = [mask_from_indices(s) for s in [(2,), (1, 3), (1, 2, 5), (1, 2)]]
-        assert chambers._smallest_mask(masks) == mask_from_indices((1, 2))
-        assert chambers._smallest_mask(masks[:3]) == mask_from_indices((1, 2, 5))
 
 
 class TestRealize:

@@ -508,6 +508,8 @@ HUGE = "1e5000,1e5000,1"
 HUGE_LIMIT = (
     "limit: an exact integer of 16610 bits exceeds Python's int-to-str digit limit\n"
 )
+#: how an error message names an entry of HUGE
+HUGE_SHOWN = "<16610-bit integer>"
 
 
 class TestNoTraceback:
@@ -526,11 +528,11 @@ class TestNoTraceback:
             (("ring", "--d", "3", "--l", HUGE), 3, HUGE_LIMIT),
             (("verify", "--d", "3", "--json", "--l", HUGE), 3, HUGE_LIMIT),
             (("classify-file", "--d", "3", "--file", "{file}"), 3, HUGE_LIMIT),
-            # the median subset's message names the vector
+            # the median subset's message names huge entries by bit length
             (
                 ("compare", "--d", "3", "--l", "1e5000,1e5000,1,1", "--l2", "1,2,2,4"),
-                3,
-                HUGE_LIMIT,
+                1,
+                f"error: (1, 1, {HUGE_SHOWN}, {HUGE_SHOWN}) has the median subset (1, 4)\n",
             ),
             # unchanged: nothing here prints the entries
             (("betti", "--d", "3", "--json", "--l", HUGE), 0, None),
@@ -558,6 +560,17 @@ class TestNoTraceback:
                 ("betti", "--d", "3", "--l", "y" * 10**6 + ",1,1"),
                 1,
                 f"error: cannot parse {'y' * 40!r}... (1000000 characters) as a rational\n",
+            ),
+            # a long vector is repeated only in part
+            (
+                ("betti", "--d", "3", "--l", ",".join(["0"] * 3000)),
+                1,
+                f"error: side lengths must be positive: ({'0, ' * 60}... 3000 entries)\n",
+            ),
+            (
+                ("compare", "--d", "3", "--l", "1e5000,3,1e5000,3", "--l2", "1,2,3,5"),
+                1,
+                f"error: (3, 3, {HUGE_SHOWN}, {HUGE_SHOWN}) has the median subset (1, 4)\n",
             ),
         ],
     )

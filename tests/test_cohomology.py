@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from polygonspaces import (
     classify_pair,
     enumerate_chambers,
     indices_of_mask,
+    is_generic,
     mask_from_indices,
     parse_length_vector,
     quotient_basis_dimensions,
@@ -312,6 +315,22 @@ class TestVectorRecord:
         b = data.draw(length_vectors(generic=True, min_n=a.n, max_n=a.n, max_entry=12))
         verdict = VectorRecord.of(a, d).verdict(VectorRecord.of(b, d))
         assert verdict == classify_pair(a, b, d) == oracle_classify_pair(a, b, d)
+
+    @pytest.mark.slow
+    def test_wide_witnesses_match_oracle(self):
+        # 22-gons: 2^21 masks per signature, so the witness runs on the
+        # rank table, not on a key call per differing mask
+        rnd = random.Random(22)
+        vectors = []
+        while len(vectors) < 4:
+            lv = LengthVector(tuple(rnd.randint(1, 10**6) for _ in range(22)))
+            if is_generic(lv):
+                vectors.append(lv)
+        records = [VectorRecord.of(lv, 3) for lv in vectors]
+        for i, j in itertools.combinations(range(4), 2):
+            verdict = records[i].verdict(records[j])
+            assert verdict.witness is not None
+            assert verdict == oracle_classify_pair(vectors[i], vectors[j], 3)
 
 
 class TestRecognizeSpecial:

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -25,11 +26,22 @@ from polygonspaces.errors import (
 )
 from polygonspaces.lengths import (
     MAX_ENUM_N,
+    MAX_SHOWN_VECTOR,
     exact_str,
+    shown_vector,
+    subset_rank,
     subset_sizes,
     subset_sums,
     top_excess,
 )
+
+
+#: small entries, and entries whose decimal form passes any cap
+_ENTRIES = st.one_of(st.integers(-(10**6), 10**6), st.integers(-(10**700), 10**700))
+
+
+def _plain(entries) -> str:
+    return "(" + ", ".join(map(str, entries)) + ")"
 
 
 class TestParse:
@@ -126,6 +138,29 @@ class TestParse:
         with pytest.raises(MalformedNumber, match=r"^cannot parse '1/0' as a rational$"):
             LengthVector.from_rationals(["1/0", 1, 1])
 
+    @pytest.mark.parametrize("value", [Decimal("Infinity"), Decimal("-Infinity"), None])
+    def test_non_rationals_are_malformed(self, value):
+        with pytest.raises(MalformedNumber, match="^not a rational: "):
+            LengthVector.from_rationals([value, 1, 1])
+
+    def test_messages_name_long_vectors_in_part(self):
+        for entries in [(0,) * 300_000, (1,) * 299_999 + (-1,), (10**5000, 0, 1)]:
+            with pytest.raises(EntryNotPositive) as info:
+                LengthVector(entries)
+            shown = str(info.value).removeprefix("side lengths must be positive: ")
+            assert len(shown) <= MAX_SHOWN_VECTOR
+        assert str(info.value).endswith("(<16610-bit integer>, 0, 1)")
+
+    @given(st.lists(_ENTRIES, min_size=1, max_size=120))
+    def test_shown_vector_is_bounded(self, entries):
+        shown = shown_vector(entries)
+        assert len(shown) <= MAX_SHOWN_VECTOR
+        if max(map(abs, entries)) < 10**180:  # each entry shown in decimal
+            if len(_plain(entries)) <= MAX_SHOWN_VECTOR:
+                assert shown == _plain(entries)
+            else:
+                assert shown.endswith(f"... {len(entries)} entries)")
+
     def test_whitespace_and_commas_mix(self):
         assert parse_length_vector(" 1, 2\t2  2,4 ,4 ").entries == (1, 2, 2, 2, 4, 4)
 
@@ -174,6 +209,26 @@ class TestMasks:
         sizes = subset_sizes(7)
         assert sizes.tolist() == [m.bit_count() for m in range(1 << 7)]
         assert not sizes.flags.writeable
+
+
+class TestSubsetRank:
+    def test_sort_matches_key_order(self):
+        for width in range(13):
+            rank = subset_rank(width)
+            key_order = sorted(range(1 << width), key=indices_of_mask)
+            assert np.argsort(rank).tolist() == key_order
+            assert sorted(rank.tolist()) == list(range(1 << width))
+
+    def test_read_only_int32(self):
+        rank = subset_rank(23)
+        assert rank.dtype == np.int32 and not rank.flags.writeable
+        assert rank[(1 << 23) - 1] == 23 and rank[1 << 22] == (1 << 23) - 1
+
+    def test_prefix_beats_its_extensions(self):
+        # (1, 2) < (1, 2, 5) < (1, 3) < (2,) in index-tuple order
+        rank = subset_rank(5)
+        chain = [mask_from_indices(s) for s in [(1, 2), (1, 2, 5), (1, 3), (2,)]]
+        assert [rank[m] for m in chain] == sorted(rank[m] for m in chain)
 
 
 class TestTopExcess:

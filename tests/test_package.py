@@ -19,6 +19,48 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _sorts_by_mask_key(node: ast.AST) -> bool:
+    """A sorted/min/max/.sort call whose key reads indices_of_mask."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if not (
+        isinstance(func, ast.Name) and func.id in ("sorted", "min", "max")
+        or isinstance(func, ast.Attribute) and func.attr == "sort"
+    ):
+        return False
+    return any(
+        isinstance(name, ast.Name) and name.id == "indices_of_mask"
+        for kw in node.keywords
+        if kw.arg == "key"
+        for name in ast.walk(kw.value)
+    )
+
+
+def test_index_tuple_order_comes_from_the_rank_table():
+    # lengths.subset_rank is the one source of the order; a key call per
+    # mask is a second, slower algorithm for it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _sorts_by_mask_key(node)
+    ]
+    assert found == []
+
+
+def test_mask_key_check_sees_each_form():
+    forms = [
+        "sorted(ms, key=indices_of_mask)",
+        "min(ms, key=indices_of_mask)",
+        "max(ms, key=indices_of_mask)",
+        "ms.sort(key=lambda r: (r.v, indices_of_mask(r.subset)))",
+    ]
+    for form in forms:
+        assert _sorts_by_mask_key(ast.parse(form).body[0].value), form
+    assert not _sorts_by_mask_key(ast.parse("sorted(ms, key=len)").body[0].value)
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in polygonspaces.__all__ if not hasattr(polygonspaces, name)]
     assert missing == []
