@@ -333,15 +333,16 @@ def recognize_special(lv: LengthVector, d: int) -> str | None:
 
     "stiefel_times_spheres": nonempty with {n-2, n-1} long, the unique
     chamber where the degree d-2 Betti number is one.  "sphere_product":
-    the chamber where only the singleton {n} is short, n >= 4.
+    the chamber where only the singleton {n} is short, n >= 4; with {n}
+    short, that holds exactly when {1, n}, the lightest pair containing n,
+    is long.
     """
     _require_dimension(d)
-    sig = chamber_signature(lv)  # enforces ordered + generic
-    if sig.is_empty_space:
+    if chamber_signature(lv).is_empty_space:  # enforces ordered + generic
         return None
     n = lv.n
     if classify_subset(lv, mask_from_indices((n - 2, n - 1))).kind is Kind.LONG:
         return "stiefel_times_spheres"
-    if n >= 4 and sig == ChamberSignature.from_masks(n, [0]):
+    if n >= 4 and classify_subset(lv, mask_from_indices((1, n))).kind is Kind.LONG:
         return "sphere_product"
     return None

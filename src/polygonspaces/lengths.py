@@ -77,15 +77,12 @@ def _doubling(steps: Sequence[int], dtype) -> np.ndarray:
     return table
 
 
-def subset_sums(entries: Sequence[int], dtype=None) -> np.ndarray:
-    """Sums over all subsets of ``entries``, indexed by bitmask.
+def subset_sums(entries: Sequence[int], dtype) -> np.ndarray:
+    """Sums over all subsets of ``entries`` in ``dtype``, indexed by bitmask.
 
-    Cost and memory are O(2^len(entries)); callers guard the width.  The
-    default dtype is int64 when twice the total fits, and ``object``
-    (exact Python ints) otherwise.
+    Cost and memory are O(2^len(entries)); callers guard the width and
+    choose a dtype that holds what they build on the sums.
     """
-    if dtype is None:
-        dtype = np.int64 if 2 * sum(entries) < 2**63 else object
     return _doubling(entries, dtype)
 
 
@@ -313,8 +310,11 @@ def top_excess(lv: LengthVector) -> np.ndarray:
     """
     check_enumeration_width(lv.n)
     total = lv.total
-    sums = subset_sums(lv.entries[:-1], np.int64 if 2 * total < 2**63 else object)
-    return 2 * (sums + lv.entries[-1]) - total
+    exc = subset_sums(lv.entries[:-1], np.int64 if 2 * total < 2**63 else object)
+    exc += lv.entries[-1]  # in place: one 2^(n-1) array, not three
+    exc *= 2
+    exc -= total
+    return exc
 
 
 def reject_median(lv: LengthVector, exc: np.ndarray) -> None:

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    CertificateFailure,
     ConvergenceFailure,
     DegenerateConfiguration,
     NonUnitInput,
@@ -202,48 +203,29 @@ def hessian_matrix(lv: LengthVector, subset: int) -> HessianMatrix:
     return HessianMatrix(*_reduced_form(lv, subset))
 
 
-def _diagonal_minus_rank_one_inertia(
-    diag: Sequence[int], v: Sequence[int]
-) -> tuple[int, int, int]:
-    """Exact (positive, negative, zero) inertia of diag(d) - v v^T, d_i != 0.
-
-    Haynsworth additivity on the bordered matrix B = [[diag(d), v], [v^T, 1]]
-    taken both ways: In(B) = In(diag(d)) + In(1 - sum v_i^2 / d_i) and
-    In(B) = In(1) + In(diag(d) - v v^T).  The Schur complement's sign is
-    read from num / den with den > 0, accumulated in integers.
-    """
-    pos = neg = 0
-    num = den = 1
-    for d, x in zip(diag, v, strict=True):
-        if d > 0:
-            pos += 1
-            num, den = num * d - x * x * den, den * d
-        elif d < 0:
-            neg += 1
-            num, den = num * -d + x * x * den, den * -d
-        else:
-            raise ValueError("the diagonal must be nonsingular")
-    if num > 0:
-        return pos, neg, 0
-    if num < 0:
-        return pos - 1, neg + 1, 0
-    return pos - 1, neg, 1
-
-
 def hessian_signature(lv: LengthVector, subset: int) -> tuple[int, int, int]:
     """Exact (positive, negative, zero) inertia of the reduced form.
 
     Conjugating D - E by diag(l_j) gives the congruent integer form
-    diag(eps_i L_J l_i) - l l^T, a nonsingular diagonal minus a rank-one
-    term, whose inertia Haynsworth's additivity (E. V. Haynsworth,
+    M = diag(eps_i L_J l_i) - l l^T, a nonsingular diagonal minus a
+    rank-one term.  Haynsworth's inertia additivity (E. V. Haynsworth,
     "Determination of the inertia of a partitioned Hermitian matrix",
-    Linear Algebra Appl. 1, 1968) gives in O(n) integer operations: the
-    diagonal's signs, shifted by the sign of L_J - sum eps_i l_i.  That
-    sign is computed, not assumed, so the (|J|-1, n-|J|, 1) law stays a
-    checked statement.
+    Linear Algebra Appl. 1, 1968) on the bordered matrix
+    B = [[diag(eps_i L_J l_i), l], [l^T, 1]], taken both ways, gives
+    In(B) = In(diagonal) + In(sigma) and In(B) = In(1) + In(M), with the
+    Schur complement sigma = 1 - sum l_i^2 / (eps_i L_J l_i), which is
+    (L_J - sum eps_i l_i) / L_J.  Its numerator is computed, not assumed:
+    it is zero, so M has the diagonal's |J| positive and n-|J| negative
+    signs less one positive, plus one zero, the (|J|-1, n-|J|, 1) law; a
+    nonzero numerator raises CertificateFailure.
     """
     exc, kernel = _reduced_form(lv, subset)
-    return _diagonal_minus_rank_one_inertia([exc * k for k in kernel], lv.entries)
+    if exc != sum(kernel):
+        raise CertificateFailure(
+            f"the Hessian Schur complement at {indices_of_mask(subset)} is not zero"
+        )
+    size = sum(k > 0 for k in kernel)
+    return size - 1, len(kernel) - size, 1
 
 
 @dataclass(frozen=True)
@@ -349,11 +331,15 @@ def complement_poincare_polynomial(lv: LengthVector, d: int) -> list[int]:
 
 
 def lacunary_consistency(lv: LengthVector, d: int) -> bool:
-    """Check the complement polynomial against direct size counts.
+    """Check the complement polynomial's bookkeeping against its own counts.
 
     The t^{(d-1)k} coefficient must equal the number of long subsets of
     n-k+1 elements plus the number with n-k elements, and nothing may
-    appear in degrees not divisible by d-1.
+    appear in degrees not divisible by d-1.  The polynomial is built from
+    the same long-side counts it is checked against, so this holds for
+    every size histogram: it checks ``_complement_polynomial``, not the
+    analytic picture, and compares nothing with the Hessian-derived
+    indices of ``critical_data``.
     """
     n = lv.n
     by_size = _long_side_sizes(lv, d)

@@ -18,6 +18,7 @@ from polygonspaces import (
     VectorRecord,
     classify_subset,
     betti_table,
+    chamber_signature,
     classify_pair,
     enumerate_chambers,
     indices_of_mask,
@@ -356,6 +357,15 @@ class TestRecognizeSpecial:
             assert tag == "stiefel_times_spheres"
         else:
             assert tag != "stiefel_times_spheres"
+
+    @given(length_vectors(ordered=True, generic=True, max_n=7))
+    @settings(max_examples=100)
+    def test_sphere_product_tag_matches_the_family(self, lv):
+        # only {n} short: the family of J with J union {n} short is {empty}
+        n = lv.n
+        stiefel = classify_subset(lv, mask_from_indices((n - 2, n - 1))).kind is Kind.LONG
+        expected = n >= 4 and not stiefel and chamber_signature(lv).masks() == [0]
+        assert (recognize_special(lv, 3) == "sphere_product") == expected
 
 
 class TestCountingIdentity:

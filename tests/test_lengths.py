@@ -191,18 +191,16 @@ class TestMasks:
 
     def test_subset_sums_against_direct(self):
         entries = (3, 5, 11, 21)
-        sums = subset_sums(entries)
+        sums = subset_sums(entries, np.int64)
         for mask in range(16):
             assert sums[mask] == sum(e for i, e in enumerate(entries) if mask >> i & 1)
 
     def test_subset_sums_big_integers(self):
         huge = 10**30
-        sums = subset_sums((huge, 1, huge))
+        sums = subset_sums((huge, 1, huge), object)
         assert sums[0b101] == 2 * huge
 
     def test_subset_sums_dtype_boundary(self):
-        assert subset_sums((1, 2**62 - 2)).dtype == np.int64
-        assert subset_sums((1, 2**62 - 1)).dtype == object
         assert subset_sums((1, 2), dtype=object).dtype == object
 
     def test_subset_sizes_are_popcounts(self):

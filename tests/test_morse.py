@@ -36,13 +36,14 @@ from polygonspaces import (
     parse_length_vector,
 )
 from polygonspaces.errors import (
+    CertificateFailure,
     ConvergenceFailure,
     DegenerateConfiguration,
     NonUnitInput,
     NotGeneric,
     SubsetNotLong,
 )
-from polygonspaces.morse import _as_floats, _diagonal_minus_rank_one_inertia
+from polygonspaces.morse import _as_floats
 
 #: three seeded vectors per n = 3..9 with entries up to 60 and up to 10^6
 ORACLE_VECTORS = [
@@ -256,33 +257,13 @@ class TestHessian:
                 expected = oracle_integer_inertia(oracle_hessian_form(entries, subset))
                 assert hessian_signature(lv, subset) == expected
 
-    def test_diagonal_minus_rank_one_against_oracle(self):
-        rng = random.Random(2011)
-        seen = set()
-        for trial in range(600):
-            k = rng.randint(1, 6)
-            diag = [rng.choice((-1, 1)) * rng.randint(1, 30) for _ in range(k)]
-            v = [rng.randint(-12, 12) for _ in range(k)]
-            if trial % 3 == 0:
-                # choose the last pair so that 1 - sum v_i^2 / d_i is zero
-                rest = 1 - sum(Fraction(x * x, d) for d, x in zip(diag[:-1], v[:-1]))
-                if rest:
-                    v[-1] = rest.numerator
-                    diag[-1] = rest.numerator * rest.denominator
-            sigma = 1 - sum(Fraction(x * x, d) for d, x in zip(diag, v))
-            seen.add((sigma > 0) - (sigma < 0))
-            matrix = [
-                [(diag[i] if i == j else 0) - v[i] * v[j] for j in range(k)]
-                for i in range(k)
-            ]
-            assert _diagonal_minus_rank_one_inertia(diag, v) == oracle_integer_inertia(
-                matrix
-            )
-        assert seen == {-1, 0, 1}
-
-    def test_diagonal_must_be_nonsingular(self):
-        with pytest.raises(ValueError):
-            _diagonal_minus_rank_one_inertia([2, 0, -1], [1, 1, 1])
+    def test_nonzero_schur_complement_fails_the_certificate(self, monkeypatch):
+        lv = parse_length_vector("1,2,2,2,4,4")
+        subset = mask_from_indices((5, 6))
+        exc, kernel = morse._reduced_form(lv, subset)
+        monkeypatch.setattr(morse, "_reduced_form", lambda lv, s: (exc + 1, kernel))
+        with pytest.raises(CertificateFailure):
+            hessian_signature(lv, subset)
 
     def test_stores_linear_data(self):
         H = hessian_matrix(parse_length_vector("1,2,2,3,5,9"), mask_from_indices((5, 6)))

@@ -6,6 +6,7 @@ from pathlib import Path
 import polygonspaces
 
 SOURCE = Path(polygonspaces.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_no_assert_statements():
@@ -65,3 +66,19 @@ def test_every_exported_name_resolves():
     missing = [name for name in polygonspaces.__all__ if not hasattr(polygonspaces, name)]
     assert missing == []
     assert len(set(polygonspaces.__all__)) == len(polygonspaces.__all__)
+
+
+def test_readme_library_block_prints_what_it_says():
+    # each "expression  # value" line of the Library example evaluates to value
+    block = README.read_text().split("## Library", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    checked = []
+    for line in block.splitlines():
+        code, _, shown = line.partition("  # ")
+        if shown:
+            assert eval(code, namespace) == ast.literal_eval(shown.strip()), line
+            checked.append(code.strip())
+        else:
+            exec(line, namespace)
+    assert checked == ["ps.betti_table(lv, 3).dims", "ps.enumerate_chambers(5).count"]
