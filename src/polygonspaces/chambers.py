@@ -20,7 +20,6 @@ from .errors import (
     CertificateFailure,
     DimensionMismatch,
     MalformedCandidate,
-    NotOrdered,
     OutOfRange,
 )
 from .lengths import (
@@ -28,7 +27,7 @@ from .lengths import (
     check_enumeration_width,
     indices_of_mask,
     reject_median,
-    shown_vector,
+    require_ordered,
     subset_rank,
     top_excess,
 )
@@ -89,14 +88,6 @@ class ChamberSignature:
         return not any(self.bitmap)
 
     @cached_property
-    def canonical_bytes(self) -> bytes:
-        return json.dumps(
-            {"n": self.n, "family": self.family_indices()},
-            separators=(",", ":"),
-            sort_keys=True,
-        ).encode()
-
-    @cached_property
     def walls(self) -> tuple[int, ...]:
         """The masks whose flip keeps the family closed: the maximal members,
         then the minimal non-members, each ascending.  Complementing a mask
@@ -122,9 +113,7 @@ class ChamberComparison(NamedTuple):
 
 
 def chamber_signature(lv: LengthVector) -> ChamberSignature:
-    if not lv.is_ordered:
-        raise NotOrdered(f"{shown_vector(lv.entries)} is not nondecreasing")
-    exc = top_excess(lv)
+    exc = top_excess(require_ordered(lv))
     reject_median(lv, exc)
     return ChamberSignature(lv.n, _pack(exc < 0))
 
@@ -290,5 +279,10 @@ def enumerate_chambers(n: int) -> CensusResult:
             else:
                 found[bitmap] = (cand, rep)
                 frontier.append(cand)
-    ordered = sorted(found.values(), key=lambda chamber: chamber[0].canonical_bytes)
+    # by the printed family as compact JSON text; sorting the index lists
+    # themselves gives another order
+    ordered = sorted(
+        found.values(),
+        key=lambda chamber: json.dumps(chamber[0].family_indices(), separators=(",", ":")),
+    )
     return CensusResult(n, tuple(ordered))

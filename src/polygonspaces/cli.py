@@ -1,8 +1,9 @@
 """Command-line surface: betti, ring, compare, census, verify, classify-file.
 
 Exit codes: 0 success, 1 input error, 2 mathematically empty result
-(empty space), 3 internal limits and failures (caps, solver, certificates,
-memory).
+(empty space), 3 internal limits (caps, solver, memory) and failed
+certificates; a failed certificate is a fault in this package and is
+printed as "fault:", every other exit-3 error as "limit:".
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .cohomology import (
     recognize_special,
     ring_presentation,
 )
-from .errors import DimensionMismatch, InputError, NotGeneric, PolygonSpacesError
+from .errors import CertificateFailure, DimensionMismatch, InputError, PolygonSpacesError
 from .lengths import LengthVector, exact_str, indices_of_mask, parse_length_vector
 from .morse import (
     EmptySpaceCertificate,
@@ -54,6 +55,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt_subset(indices: Sequence[int]) -> str:
     return "{" + ",".join(map(str, indices)) + "}"
+
+
+def _subset_json(mask: int | None) -> list[int] | None:
+    return None if mask is None else list(indices_of_mask(mask))
 
 
 def _emit_json(doc: dict, out: TextIO) -> None:
@@ -96,28 +101,26 @@ def _read_records(
 
 
 def _cmd_betti(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    if args.json:
+        return _cmd_ring(args, out, err)
     d = _require_d(args)
     lv = parse_length_vector(args.l).ordered()
     doc = betti_table(lv, d).to_json_obj()
     empty = not doc["betti"]
-    if args.json:
-        doc["ring"] = ring_presentation(lv, d).to_json_obj()
-        _emit_json(doc, out)
+    out.write(f"vector {lv}  n={lv.n} d={d}  manifold dim {doc['manifold_dim']}\n")
+    out.write(f"a = {doc['a']}\n")
+    out.write(f"b = {doc['b']}\n")
+    if empty:
+        out.write("all Betti numbers vanish: the space is empty\n")
+    for deg, dim in sorted(doc["betti"].items(), key=lambda kv: int(kv[0])):
+        out.write(f"betti[{deg}] = {dim}\n")
+    out.write(f"euler = {doc['euler']}\n")
+    if doc["note"]:
+        # set exactly when a median subset exists, where recognize_special
+        # would raise NotGeneric
+        out.write(f"note: {doc['note']}\n")
     else:
-        out.write(f"vector {lv}  n={lv.n} d={d}  manifold dim {doc['manifold_dim']}\n")
-        out.write(f"a = {doc['a']}\n")
-        out.write(f"b = {doc['b']}\n")
-        if empty:
-            out.write("all Betti numbers vanish: the space is empty\n")
-        for deg, dim in sorted(doc["betti"].items(), key=lambda kv: int(kv[0])):
-            out.write(f"betti[{deg}] = {dim}\n")
-        out.write(f"euler = {doc['euler']}\n")
-        if doc["note"]:
-            out.write(f"note: {doc['note']}\n")
-        try:
-            tag = recognize_special(lv, d)
-        except NotGeneric:
-            tag = None
+        tag = recognize_special(lv, d)
         if tag:
             out.write(f"special chamber: {tag}\n")
     return EXIT_EMPTY if empty else EXIT_OK
@@ -169,9 +172,7 @@ def _cmd_compare(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
                 "d": d,
                 "diffeomorphic": verdict.diffeomorphic,
                 "betti_equal": verdict.betti_equal,
-                "witness": list(indices_of_mask(verdict.witness))
-                if verdict.witness is not None
-                else None,
+                "witness": _subset_json(verdict.witness),
                 "notes": verdict.notes,
             },
             out,
@@ -295,9 +296,7 @@ def _cmd_classify_file(args: argparse.Namespace, out: TextIO, err: TextIO) -> in
                     {
                         "i": i,
                         "j": j,
-                        "witness": list(indices_of_mask(v.witness))
-                        if v.witness is not None
-                        else None,
+                        "witness": _subset_json(v.witness),
                     }
                     for i, j, v in pairs
                 ],
@@ -375,13 +374,8 @@ def run(
 ) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv) if argv is not None else None)
-    except _UsageError as exc:
-        err.write(f"usage error: {exc}\n")
-        return EXIT_INPUT
-    try:
+        args = build_parser().parse_args(list(argv) if argv is not None else None)
         return args.handler(args, out, err)
     except _UsageError as exc:
         err.write(f"usage error: {exc}\n")
@@ -389,6 +383,9 @@ def run(
     except _INPUT_ERRORS as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INPUT
+    except CertificateFailure as exc:  # a fault in this package, not a limit
+        err.write(f"fault: {exc}\n")
+        return EXIT_LIMIT
     except _LIMIT_ERRORS as exc:
         err.write(f"limit: {str(exc) or type(exc).__name__}\n")
         return EXIT_LIMIT

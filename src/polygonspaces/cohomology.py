@@ -21,7 +21,6 @@ from .chambers import (
 )
 from .errors import (
     DimensionMismatch,
-    NotOrdered,
     SearchTooLarge,
     UnsupportedDimension,
 )
@@ -31,7 +30,7 @@ from .lengths import (
     classify_subset,
     indices_of_mask,
     mask_from_indices,
-    shown_vector,
+    require_ordered,
     subset_rank,
     subset_sizes,
     top_excess,
@@ -47,9 +46,7 @@ def _require_dimension(d: int) -> None:
 
 def short_median_counts(lv: LengthVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """a_k / b_k: short / median subsets containing n with k+1 elements."""
-    if not lv.is_ordered:
-        raise NotOrdered(f"{shown_vector(lv.entries)} is not nondecreasing")
-    exc = top_excess(lv)
+    exc = top_excess(require_ordered(lv))
     sizes = subset_sizes(lv.n - 1)
     a = np.bincount(sizes[exc < 0], minlength=lv.n)
     b = np.bincount(sizes[exc == 0], minlength=lv.n)
@@ -153,10 +150,8 @@ class RingPresentation:
 
 
 def ring_presentation(lv: LengthVector, d: int) -> RingPresentation:
-    if not lv.is_ordered:
-        raise NotOrdered(f"{shown_vector(lv.entries)} is not nondecreasing")
     _require_dimension(d)
-    long = top_excess(lv) > 0
+    long = top_excess(require_ordered(lv)) > 0
     # minimal: long, and long after no single deletion
     minimal = long.copy()
     for i in range(lv.n - 1):
@@ -176,10 +171,8 @@ def quotient_basis_dimensions(lv: LengthVector, d: int) -> dict[int, int]:
     i.e. the S with S union {n} short or median; this is the independent
     oracle for the Betti numbers in degrees divisible by d-1.
     """
-    if not lv.is_ordered:
-        raise NotOrdered(f"{shown_vector(lv.entries)} is not nondecreasing")
     _require_dimension(d)
-    exc = top_excess(lv)
+    exc = top_excess(require_ordered(lv))
     # S = J and S = J union {n} both survive
     by_size = np.bincount(subset_sizes(lv.n - 1)[exc <= 0], minlength=lv.n).tolist()
     dims = [a + b for a, b in zip(by_size + [0], [0] + by_size)]

@@ -24,6 +24,7 @@ from .errors import (
     EntryNotPositive,
     MalformedNumber,
     NotGeneric,
+    NotOrdered,
     OutOfRange,
     TooFewEntries,
 )
@@ -299,6 +300,13 @@ def classify_subset(lv: LengthVector, mask: int) -> SubsetClass:
     if e > 0:
         return SubsetClass(Kind.LONG, e)
     return SubsetClass(Kind.MEDIAN, e)
+
+
+def require_ordered(lv: LengthVector) -> LengthVector:
+    """``lv`` itself; raises NotOrdered unless its entries are nondecreasing."""
+    if not lv.is_ordered:
+        raise NotOrdered(f"{shown_vector(lv.entries)} is not nondecreasing")
+    return lv
 
 
 def top_excess(lv: LengthVector) -> np.ndarray:

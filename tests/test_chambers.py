@@ -104,7 +104,6 @@ class TestSignature:
         a = chamber_signature(parse_length_vector("1,2,2,2,4,4"))
         b = chamber_signature(parse_length_vector("2,4,4,4,8,8"))
         assert a == b
-        assert a.canonical_bytes == b.canonical_bytes
 
 
 class TestFormat:
@@ -227,6 +226,8 @@ class TestRealize:
 
 #: sha256 of the ``census --n N --json`` stdout
 _CENSUS_DIGESTS = {
+    3: "efdc9c0ee4aff999848744b519f6fa899b4a4118cd412fceccdbb77b903efe92",
+    4: "ac3215ae3960fe82c08160a4065c510a9a52e325efb25dfec6f8669fc81b232b",
     5: "1404afe5fad70115339646c2a50df96f5dcaf3710b5b7f20381cd62a2f2ef396",
     6: "2a38ca881030763c4bae7fe17ebf65cca6d8edbb16a1e8aa28bbff963cd242cf",
     7: "b98548fd6c8e4b7b5cc21a3d8e976f01ca61f2dcbcde8db8357d08bec33a569d",
@@ -251,7 +252,7 @@ class TestCensus:
         assert census.count == 2470
         assert _census_digest(census) == _CENSUS_DIGESTS[8]
 
-    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_json_digest(self, n):
         # pins the representatives too, which follow the LP row order
         assert _census_digest(enumerate_chambers(n)) == _CENSUS_DIGESTS[n]

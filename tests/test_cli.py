@@ -14,6 +14,7 @@ from polygonspaces import (
     errors,
     indices_of_mask,
     lengths,
+    morse,
     parse_length_vector,
 )
 from polygonspaces.cli import run
@@ -65,6 +66,30 @@ class TestBetti:
         code, out, _ = invoke("betti", "--l", "4,1,2,4,2,2", "--d", "3", "--json")
         assert code == 0
         assert json.loads(out)["a"] == [1, 4, 3, 0, 0, 0]
+
+
+    def test_nongeneric_text_skips_the_special_tag(self, monkeypatch):
+        # the note marks a median subset, where recognize_special would
+        # raise NotGeneric, so no chamber scan is made
+        calls = []
+        scan = cohomology.chamber_signature
+
+        def counted(lv):
+            calls.append(lv)
+            return scan(lv)
+
+        monkeypatch.setattr(cohomology, "chamber_signature", counted)
+        code, out, _ = invoke("betti", "--l", "1,1,1,1", "--d", "3")
+        assert code == 0
+        assert "note: nongeneric: the space may be singular\n" in out
+        assert "special chamber:" not in out
+        assert calls == []
+
+    @pytest.mark.parametrize("entries", ["1,2,2,2,4,4", "1,1,3", "1,1,1,1"])
+    def test_json_is_the_ring_document(self, entries):
+        betti = invoke("betti", "--l", entries, "--d", "3", "--json")
+        ring = invoke("ring", "--l", entries, "--d", "3", "--json")
+        assert betti == ring
 
 
 class TestRing:
@@ -220,6 +245,18 @@ class TestVerify:
         code, _, err = invoke("verify", "--l", "1,1,1", "--d", "3")
         assert code == 3
         assert "limit" in err
+
+    def test_failed_certificate_is_a_fault(self, monkeypatch):
+        reduced_form = morse._reduced_form
+
+        def off_by_one(lv, subset):
+            exc, kernel = reduced_form(lv, subset)
+            return exc + 1, kernel
+
+        monkeypatch.setattr(morse, "_reduced_form", off_by_one)
+        code, out, err = invoke("verify", "--d", "3", "--l", "1,2,2,2,4,4")
+        assert (code, out) == (3, "")
+        assert err == "fault: the Hessian Schur complement at (1, 2, 3, 4, 5) is not zero\n"
 
 
 class TestClassifyFile:
@@ -622,6 +659,8 @@ class TestExitClasses:
         code, out, err = invoke("census", "--n", "4")
         if cls.__name__ in _INPUT_ERROR_NAMES:
             assert (code, err) == (1, "error: boom\n")
+        elif cls is errors.CertificateFailure:
+            assert (code, err) == (3, "fault: boom\n")
         else:
             assert (code, err) == (3, "limit: boom\n")
         assert out == ""

@@ -62,6 +62,36 @@ def test_mask_key_check_sees_each_form():
     assert not _sorts_by_mask_key(ast.parse("sorted(ms, key=len)").body[0].value)
 
 
+def _raises_not_ordered(node: ast.AST) -> bool:
+    exc = node.exc if isinstance(node, ast.Raise) else None
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    return (
+        isinstance(exc, ast.Name) and exc.id == "NotOrdered"
+        or isinstance(exc, ast.Attribute) and exc.attr == "NotOrdered"
+    )
+
+
+def test_one_ordering_check():
+    # lengths.require_ordered is the one place that decides NotOrdered;
+    # each raise is named by its innermost enclosing function
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for fn in ast.walk(tree):  # outer functions first, inner ones overwrite
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        found += [
+            f"{path.stem}.{owner.get(node, '<module>')}"
+            for node in ast.walk(tree)
+            if _raises_not_ordered(node)
+        ]
+    assert found == ["lengths.require_ordered"]
+    for form in ("raise NotOrdered('x')", "raise errors.NotOrdered", "raise NotOrdered"):
+        assert _raises_not_ordered(ast.parse(form).body[0]), form
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in polygonspaces.__all__ if not hasattr(polygonspaces, name)]
     assert missing == []
