@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Sequence, TextIO
 
@@ -25,23 +26,19 @@ from .cohomology import (
 )
 from .errors import CertificateFailure, DimensionMismatch, InputError, PolygonSpacesError
 from .lengths import LengthVector, exact_str, indices_of_mask, parse_length_vector
-from .morse import (
-    EmptySpaceCertificate,
-    critical_data,
-    find_polygon,
-    jacobian_rank,
-    lacunary_consistency,
-)
+from .morse import EmptySpaceCertificate, _lacunary, critical_data, find_polygon, jacobian_rank
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_EMPTY = 2
 EXIT_LIMIT = 3
 
-_INPUT_ERRORS = (InputError, OSError, UnicodeDecodeError)
+_INPUT_ERRORS = (InputError, OSError)
 #: every other typed error (see errors.py), and allocations no machine can
 #: serve, such as a huge --d in verify
 _LIMIT_ERRORS = (PolygonSpacesError, MemoryError)
+#: the surrogates that errors="surrogateescape" decodes bad bytes to
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 class _UsageError(Exception):
@@ -75,13 +72,17 @@ def _read_records(
     path: str, d: int
 ) -> tuple[list[LengthVector], list[VectorRecord], list[str]]:
     """The vector as read and its record for every accepted line, and an
-    error line for every rejected one: unparsable, nongeneric, or with an
-    n other than the first accepted line's."""
+    error line for every rejected one: not UTF-8 before its comment,
+    unparsable, nongeneric, or with an n other than the first accepted line's."""
     vectors, records, rejected = [], [], []
-    with open(path, encoding="utf-8-sig") as handle:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
         for number, line in enumerate(handle, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
+                continue
+            if undecoded := _UNDECODED.search(line):
+                byte = ord(undecoded[0]) - 0xDC00
+                rejected.append(f"error: line {number}: byte {byte:#04x} is not utf-8\n")
                 continue
             try:
                 lv = parse_length_vector(line)
@@ -147,6 +148,8 @@ def _cmd_ring(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
                 or "none"
             )
             out.write(f"minimal generators: {gens}\n")
+        if doc["note"]:
+            out.write(f"note: {doc['note']}\n")
     return EXIT_EMPTY if empty else EXIT_OK
 
 
@@ -217,7 +220,7 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
             }
             for r in records
         ],
-        "lacunary_consistent": lacunary_consistency(lv, d),
+        "lacunary_consistent": _lacunary(records, d),
     }
     empty = isinstance(solved, EmptySpaceCertificate)
     if empty:

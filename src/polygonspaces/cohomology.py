@@ -19,17 +19,14 @@ from .chambers import (
     chamber_signature,
     same_chamber_up_to_permutation,
 )
-from .errors import (
-    DimensionMismatch,
-    SearchTooLarge,
-    UnsupportedDimension,
-)
+from .errors import DimensionMismatch, SearchTooLarge
 from .lengths import (
     Kind,
     LengthVector,
     classify_subset,
     indices_of_mask,
     mask_from_indices,
+    require_dimension,
     require_ordered,
     subset_rank,
     subset_sizes,
@@ -37,11 +34,6 @@ from .lengths import (
 )
 
 MAX_BIJECTION_VARIABLES = 12
-
-
-def _require_dimension(d: int) -> None:
-    if d < 3:
-        raise UnsupportedDimension(f"the classification needs d >= 3, got {d}")
 
 
 def short_median_counts(lv: LengthVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -91,7 +83,7 @@ def betti_table(lv: LengthVector, d: int) -> BettiTable:
     vanishes.  Nongeneric input is accepted and flagged, since the count
     formula does not need genericity.
     """
-    _require_dimension(d)
+    require_dimension(d)
     a, b = short_median_counts(lv)
     n = lv.n
 
@@ -150,7 +142,7 @@ class RingPresentation:
 
 
 def ring_presentation(lv: LengthVector, d: int) -> RingPresentation:
-    _require_dimension(d)
+    require_dimension(d)
     long = top_excess(require_ordered(lv)) > 0
     # minimal: long, and long after no single deletion
     minimal = long.copy()
@@ -171,7 +163,7 @@ def quotient_basis_dimensions(lv: LengthVector, d: int) -> dict[int, int]:
     i.e. the S with S union {n} short or median; this is the independent
     oracle for the Betti numbers in degrees divisible by d-1.
     """
-    _require_dimension(d)
+    require_dimension(d)
     exc = top_excess(require_ordered(lv))
     # S = J and S = J union {n} both survive
     by_size = np.bincount(subset_sizes(lv.n - 1)[exc <= 0], minlength=lv.n).tolist()
@@ -265,7 +257,7 @@ def classify_pair(first: LengthVector, second: LengthVector, d: int) -> PairVerd
     The verdict is decided by the chamber comparison after sorting; the
     Betti comparison runs independently and can agree or disagree.
     """
-    _require_dimension(d)
+    require_dimension(d)
     if first.n != second.n:
         raise DimensionMismatch(f"n={first.n} vs n={second.n}")
     s1 = first.ordered()
@@ -303,7 +295,7 @@ class VectorRecord:
 
     @classmethod
     def of(cls, lv: LengthVector, d: int) -> "VectorRecord":
-        _require_dimension(d)
+        require_dimension(d)
         s = lv.ordered()
         return cls(s, d, chamber_signature(s), betti_table(s, d).dims)
 
@@ -330,7 +322,7 @@ def recognize_special(lv: LengthVector, d: int) -> str | None:
     short, that holds exactly when {1, n}, the lightest pair containing n,
     is long.
     """
-    _require_dimension(d)
+    require_dimension(d)
     if chamber_signature(lv).is_empty_space:  # enforces ordered + generic
         return None
     n = lv.n

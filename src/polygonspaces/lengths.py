@@ -27,6 +27,7 @@ from .errors import (
     NotOrdered,
     OutOfRange,
     TooFewEntries,
+    UnsupportedDimension,
 )
 
 #: guard on 2^(n-1) subset scans
@@ -307,6 +308,12 @@ def require_ordered(lv: LengthVector) -> LengthVector:
     if not lv.is_ordered:
         raise NotOrdered(f"{shown_vector(lv.entries)} is not nondecreasing")
     return lv
+
+
+def require_dimension(d: int) -> None:
+    """Raise UnsupportedDimension unless d >= 3: d = 2 is a different theory."""
+    if d < 3:
+        raise UnsupportedDimension(f"the classification needs d >= 3, got {d}")
 
 
 def top_excess(lv: LengthVector) -> np.ndarray:

@@ -33,8 +33,8 @@ from .lengths import (
     excess,
     indices_of_mask,
     reject_median,
+    require_dimension,
     subset_rank,
-    subset_sizes,
     top_excess,
 )
 
@@ -301,51 +301,37 @@ def jacobian_rank(lv: LengthVector, config: PolygonConfiguration) -> int:
 # complement homology bookkeeping
 
 
-def _long_side_sizes(lv: LengthVector, d: int) -> list[int]:
-    """Number of complementary pairs whose long side has k elements, k = 0..n."""
-    if d < 3:
-        raise UnsupportedDimension(f"needs d >= 3, got {d}")
-    exc = top_excess(lv)
-    reject_median(lv, exc)
-    sizes = subset_sizes(lv.n - 1)
-    long_sizes = np.where(exc > 0, sizes + 1, lv.n - 1 - sizes)
-    return np.bincount(long_sizes, minlength=lv.n + 1).tolist()
-
-
-def _complement_polynomial(n: int, d: int, by_size: list[int]) -> list[int]:
-    coeffs = [0] * ((d - 1) * n + 1)
-    for size, count in enumerate(by_size):
-        if count:
-            base = (d - 1) * (n - size)
-            coeffs[base] += count
-            coeffs[base + d - 1] += count
+def complement_poincare_polynomial(lv: LengthVector, d: int) -> list[int]:
+    """Poincare polynomial of the off-zero region: each critical record
+    contributes t^index (1 + t^dim), that is t^{(d-1)(n-|J|)} (1 + t^{d-1})
+    for its long side J."""
+    require_dimension(d)
+    coeffs = [0] * ((d - 1) * lv.n + 1)
+    for r in critical_data(lv, d):
+        coeffs[r.index] += 1
+        coeffs[r.index + r.dim] += 1
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
 
 
-def complement_poincare_polynomial(lv: LengthVector, d: int) -> list[int]:
-    """Poincare polynomial of the off-zero region: each long subset
-    contributes t^{(d-1)(n-|J|)} (1 + t^{d-1})."""
-    return _complement_polynomial(lv.n, d, _long_side_sizes(lv, d))
+def _lacunary(records: Sequence[CriticalSubmanifoldData], d: int) -> bool:
+    """Each record's (index, dim) is d-1 times the (negative, zero) counts
+    of its exact Hessian inertia."""
+    return all(
+        (r.index, r.dim) == tuple((d - 1) * k for k in r.hessian_signature[1:])
+        for r in records
+    )
 
 
 def lacunary_consistency(lv: LengthVector, d: int) -> bool:
-    """Check the complement polynomial's bookkeeping against its own counts.
+    """Check the combinatorial Morse indices against the exact Hessians.
 
-    The t^{(d-1)k} coefficient must equal the number of long subsets of
-    n-k+1 elements plus the number with n-k elements, and nothing may
-    appear in degrees not divisible by d-1.  The polynomial is built from
-    the same long-side counts it is checked against, so this holds for
-    every size histogram: it checks ``_complement_polynomial``, not the
-    analytic picture, and compares nothing with the Hessian-derived
-    indices of ``critical_data``.
+    ``critical_data`` labels each pair by its long side J and gives it
+    index (d-1)(n-|J|) on a sphere of dimension d-1; the transverse form's
+    inertia, certified on its own, must carry n-|J| negative signs and one
+    zero.  When it does, every exponent of the complement polynomial is a
+    multiple of d-1 >= 2, the lacunary shape.
     """
-    n = lv.n
-    by_size = _long_side_sizes(lv, d)
-    poly = _complement_polynomial(n, d, by_size)
-    by_size = by_size + [0]
-    padded = poly + [0] * ((d - 1) * n + 1 - len(poly))
-    return all(
-        padded[(d - 1) * k] == by_size[n - k + 1] + by_size[n - k] for k in range(n + 1)
-    ) and all(v == 0 for i, v in enumerate(poly) if i % (d - 1))
+    require_dimension(d)
+    return _lacunary(critical_data(lv, d), d)

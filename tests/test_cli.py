@@ -104,6 +104,13 @@ class TestRing:
         assert code == 2
         assert "zero ring" in out
 
+    def test_nongeneric_note(self):
+        code, out, _ = invoke("ring", "--l", "1,1,1,1", "--d", "3")
+        assert code == 0
+        assert out.endswith("note: nongeneric: the space may be singular\n")
+        code, out, _ = invoke("ring", "--l", "1,2,2,2,4,4", "--d", "3")
+        assert "note:" not in out
+
 
 class TestCompare:
     def test_example_pair_text(self):
@@ -227,15 +234,32 @@ class TestVerify:
         assert doc["jacobian_rank"] == 3
 
     def test_unallocatable_dimension_is_a_limit(self):
-        # 10^15 * n * 8 bytes exceeds any 64-bit address space, so the
-        # allocation fails at once: in find_polygon's direction array for
-        # the hexagon, in the complement polynomial for the empty triangle
-        for entries in ("1,2,2,2,4,4", "1,1,5"):
-            code, out, err = invoke("verify", "--d", str(10**15), "--l", entries)
-            assert code == 3
-            assert out == ""
-            assert err.startswith("limit: ")
-            assert "Traceback" not in err
+        # 10^15 * n * 8 bytes exceeds any 64-bit address space, so
+        # find_polygon's direction array for the hexagon fails at once
+        code, out, err = invoke("verify", "--d", str(10**15), "--l", "1,2,2,2,4,4")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("limit: ")
+        assert "Traceback" not in err
+        # the empty triangle allocates nothing of size d: it is answered
+        code, out, err = invoke("verify", "--d", str(10**15), "--l", "1,1,5", "--json")
+        assert (code, err) == (2, "")
+        doc = json.loads(out)
+        assert doc["realization"] == {"empty": True, "witness": [3], "min_residual": "3"}
+        assert doc["lacunary_consistent"] is True
+
+    def test_one_scan_per_verify(self, monkeypatch):
+        calls = []
+        subset_sums = lengths.subset_sums
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return subset_sums(*args, **kwargs)
+
+        monkeypatch.setattr(lengths, "subset_sums", counted)
+        code, _, _ = invoke("verify", "--d", "3", "--l", "1,2,2,2,4,4", "--json")
+        assert code == 0
+        assert len(calls) == 1
 
     def test_degenerate_configuration_is_a_limit(self, monkeypatch):
         def degenerate(lv, config):
@@ -300,6 +324,17 @@ class TestClassifyFile:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "utf-8" in err
+
+    def test_non_utf8_line_rejected_on_its_own(self, tmp_path):
+        argv = ("classify-file", "--d", "3", "--file")
+        good = invoke(*argv, _write(tmp_path, ["1,2,2,2,4,4", "1,1,3,4,8,8"], "good.txt"))
+        assert good[0] == 0
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(b"1,2,2,2,4,4\n\xff,1\n1,1,3,4,8,8\r\n")
+        assert invoke(*argv, str(path)) == (1, good[1], "error: line 2: byte 0xff is not utf-8\n")
+        # undecodable bytes in a comment are ignored
+        path.write_bytes(b"1,2,2,2,4,4 # caf\xe9\n1,1,3,4,8,8\n")
+        assert invoke(*argv, str(path)) == good
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         # editors such as Notepad save UTF-8 with a leading BOM

@@ -463,6 +463,17 @@ class TestComplementHomology:
         with pytest.raises(NotGeneric):
             complement_poincare_polynomial(parse_length_vector("1,1,2"), 3)
 
+    def test_wrong_inertia_fails_the_check(self, monkeypatch):
+        # the check reads the exact Hessians, not the counts it was built from
+        signature = morse.hessian_signature
+
+        def one_sign_flipped(lv, subset):
+            pos, neg, zero = signature(lv, subset)
+            return (pos + 1, neg - 1, zero) if neg else (pos, neg, zero)
+
+        monkeypatch.setattr(morse, "hessian_signature", one_sign_flipped)
+        assert not lacunary_consistency(parse_length_vector("1,2,2,2,4,4"), 3)
+
     @given(length_vectors(ordered=True, generic=True, max_n=6), st.sampled_from([3, 4, 5]))
     @settings(max_examples=40)
     def test_consistency_property(self, lv, d):

@@ -62,19 +62,19 @@ def test_mask_key_check_sees_each_form():
     assert not _sorts_by_mask_key(ast.parse("sorted(ms, key=len)").body[0].value)
 
 
-def _raises_not_ordered(node: ast.AST) -> bool:
+def _raises(node: ast.AST, name: str) -> bool:
     exc = node.exc if isinstance(node, ast.Raise) else None
     if isinstance(exc, ast.Call):
         exc = exc.func
     return (
-        isinstance(exc, ast.Name) and exc.id == "NotOrdered"
-        or isinstance(exc, ast.Attribute) and exc.attr == "NotOrdered"
+        isinstance(exc, ast.Name) and exc.id == name
+        or isinstance(exc, ast.Attribute) and exc.attr == name
     )
 
 
-def test_one_ordering_check():
-    # lengths.require_ordered is the one place that decides NotOrdered;
-    # each raise is named by its innermost enclosing function
+def _raisers(name: str) -> list[str]:
+    """Each raise of the error ``name``, named by its innermost enclosing
+    function."""
     found = []
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -85,11 +85,24 @@ def test_one_ordering_check():
         found += [
             f"{path.stem}.{owner.get(node, '<module>')}"
             for node in ast.walk(tree)
-            if _raises_not_ordered(node)
+            if _raises(node, name)
         ]
-    assert found == ["lengths.require_ordered"]
+    return found
+
+
+def test_one_ordering_check():
+    # lengths.require_ordered is the one place that decides NotOrdered, and
+    # lengths.require_dimension the one that decides d >= 3; the float layer
+    # keeps its own d >= 2 checks
+    assert _raisers("NotOrdered") == ["lengths.require_ordered"]
+    assert _raisers("UnsupportedDimension") == [
+        "lengths.require_dimension",
+        "morse.find_polygon",
+        "morse.critical_data",
+    ]
     for form in ("raise NotOrdered('x')", "raise errors.NotOrdered", "raise NotOrdered"):
-        assert _raises_not_ordered(ast.parse(form).body[0]), form
+        assert _raises(ast.parse(form).body[0], "NotOrdered"), form
+    assert not _raises(ast.parse("raise NotGeneric('x')").body[0], "NotOrdered")
 
 
 def test_every_exported_name_resolves():
