@@ -22,7 +22,6 @@ from .cohomology import (
     BettiTable,
     PairVerdict,
     RingPresentation,
-    VectorRecord,
     betti_table,
     classify_pair,
     quotient_basis_dimensions,
@@ -30,6 +29,7 @@ from .cohomology import (
     ring_presentation,
     rings_isomorphic_bruteforce,
     short_median_counts,
+    signature_verdict,
 )
 from .lengths import (
     Kind,
@@ -72,7 +72,6 @@ __all__ = [
     "PolygonConfiguration",
     "RingPresentation",
     "SubsetClass",
-    "VectorRecord",
     "betti_table",
     "chamber_signature",
     "classify_pair",
@@ -99,5 +98,6 @@ __all__ = [
     "rings_isomorphic_bruteforce",
     "same_chamber_up_to_permutation",
     "short_median_counts",
+    "signature_verdict",
     "__version__",
 ]

@@ -29,6 +29,7 @@ from .lengths import (
     reject_median,
     require_ordered,
     subset_rank,
+    subset_sizes,
     top_excess,
 )
 
@@ -98,6 +99,12 @@ class ChamberSignature:
         minimal = np.flatnonzero(~member & _closed_below(member))
         maximal = full - np.flatnonzero(member[::-1] & _closed_below(~member[::-1]))
         return tuple(maximal[::-1].tolist() + minimal.tolist())
+
+    @cached_property
+    def short_counts(self) -> tuple[int, ...]:
+        """a_k for k = 0..n-1: the number of members with k elements."""
+        sizes = subset_sizes(self.n - 1)[self.members()]
+        return tuple(np.bincount(sizes, minlength=self.n).tolist())
 
     def family_indices(self) -> list[list[int]]:
         """The members as index lists, in index-tuple order."""

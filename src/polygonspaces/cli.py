@@ -15,14 +15,14 @@ import sys
 from typing import Sequence, TextIO
 
 from . import __version__
-from .chambers import enumerate_chambers
+from .chambers import ChamberSignature, chamber_signature, enumerate_chambers
 from .cohomology import (
     PairVerdict,
-    VectorRecord,
     betti_table,
     classify_pair,
     recognize_special,
     ring_presentation,
+    signature_verdict,
 )
 from .errors import CertificateFailure, DimensionMismatch, InputError, PolygonSpacesError
 from .lengths import LengthVector, exact_str, indices_of_mask, parse_length_vector
@@ -69,12 +69,13 @@ def _require_d(args: argparse.Namespace) -> int:
 
 
 def _read_records(
-    path: str, d: int
-) -> tuple[list[LengthVector], list[VectorRecord], list[str]]:
-    """The vector as read and its record for every accepted line, and an
-    error line for every rejected one: not UTF-8 before its comment,
-    unparsable, nongeneric, or with an n other than the first accepted line's."""
-    vectors, records, rejected = [], [], []
+    path: str,
+) -> tuple[list[LengthVector], list[ChamberSignature], list[str]]:
+    """The vector as read and the chamber signature of its sorted form for
+    every accepted line, one subset scan each, and an error line for every
+    rejected one: not UTF-8 before its comment, unparsable, nongeneric, or
+    with an n other than the first accepted line's."""
+    vectors, signatures, rejected = [], [], []
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
         for number, line in enumerate(handle, 1):
             line = line.split("#", 1)[0].strip()
@@ -86,15 +87,15 @@ def _read_records(
                 continue
             try:
                 lv = parse_length_vector(line)
-                if records and lv.n != records[0].n:
+                if signatures and lv.n != signatures[0].n:
                     raise DimensionMismatch(
-                        f"n={lv.n} vs n={records[0].n} of the first accepted line"
+                        f"n={lv.n} vs n={signatures[0].n} of the first accepted line"
                     )
-                records.append(VectorRecord.of(lv, d))
+                signatures.append(chamber_signature(lv.ordered()))
                 vectors.append(lv)
             except InputError as exc:
                 rejected.append(f"error: line {number}: {exc}\n")
-    return vectors, records, rejected
+    return vectors, signatures, rejected
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +270,7 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
 def _cmd_classify_file(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     d = _require_d(args)
-    vectors, records, rejected = _read_records(args.file, d)
+    vectors, signatures, rejected = _read_records(args.file)
     if not vectors and not rejected:
         raise _UsageError(f"no vectors found in {args.file}")
     # formatted before any output, so a limit leaves both streams bare
@@ -283,7 +284,7 @@ def _cmd_classify_file(args: argparse.Namespace, out: TextIO, err: TextIO) -> in
     pairs = []
     for i in range(k):
         for j in range(i + 1, k):
-            verdict = records[i].verdict(records[j])
+            verdict = signature_verdict(signatures[i], signatures[j])
             diffeo[i][j] = diffeo[j][i] = verdict.diffeomorphic
             betti_eq[i][j] = betti_eq[j][i] = verdict.betti_equal
             pairs.append((i, j, verdict))

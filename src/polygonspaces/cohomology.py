@@ -3,7 +3,9 @@
 Everything here reduces to exact counts of short/median/long subsets
 containing the top index, so the results are integers computed without
 any rounding.  The classification needs d >= 3 throughout; d = 2 is a
-different theory and is rejected explicitly.
+different theory and is rejected explicitly.  For a generic vector the
+chamber signature is the whole record: the Betti table is a function of
+its short counts, so batch verdicts compare signatures alone.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ from .chambers import (
 )
 from .errors import DimensionMismatch, SearchTooLarge
 from .lengths import (
-    Kind,
     LengthVector,
-    classify_subset,
     indices_of_mask,
     mask_from_indices,
     require_dimension,
@@ -279,38 +279,17 @@ def _verdict(cmp: ChamberComparison, betti_equal: bool) -> PairVerdict:
     return PairVerdict(cmp.same, betti_equal, cmp.witness, notes)
 
 
-@dataclass(frozen=True)
-class VectorRecord:
-    """What the pair verdict needs of one generic vector, computed once.
-
-    Batch callers build one record per vector (one subset scan for the
-    chamber, one for the Betti table) and compare records pairwise, so k
-    vectors cost 2k scans instead of four per pair.
+def signature_verdict(first: ChamberSignature, second: ChamberSignature) -> PairVerdict:
+    """The verdict ``classify_pair`` gives, at any d >= 3, for two generic
+    vectors with these signatures of their sorted forms: one scan per
+    vector, not four per pair.  For one n the Betti table is a_k + a_{k-1}
+    in degree (d-1)k and a_{n-k-2} + a_{n-k-1} in degree (d-1)k-1; those
+    degrees never collide and a_{n-1} = 0, so equal tables are equal a_k.
     """
-
-    vector: LengthVector  # sorted
-    d: int
-    chamber: ChamberSignature
-    betti: dict[int, int]  # BettiTable.dims
-
-    @classmethod
-    def of(cls, lv: LengthVector, d: int) -> "VectorRecord":
-        require_dimension(d)
-        s = lv.ordered()
-        return cls(s, d, chamber_signature(s), betti_table(s, d).dims)
-
-    @property
-    def n(self) -> int:
-        return self.vector.n
-
-    def verdict(self, other: "VectorRecord") -> PairVerdict:
-        """The verdict ``classify_pair`` gives for the two vectors."""
-        if self.n != other.n:
-            raise DimensionMismatch(f"n={self.n} vs n={other.n}")
-        if self.d != other.d:
-            raise DimensionMismatch(f"d={self.d} vs d={other.d}")
-        cmp = _compare_families(self.chamber, other.chamber)
-        return _verdict(cmp, self.betti == other.betti)
+    if first.n != second.n:
+        raise DimensionMismatch(f"n={first.n} vs n={second.n}")
+    cmp = _compare_families(first, second)
+    return _verdict(cmp, first.short_counts == second.short_counts)
 
 
 def recognize_special(lv: LengthVector, d: int) -> str | None:
@@ -320,14 +299,17 @@ def recognize_special(lv: LengthVector, d: int) -> str | None:
     chamber where the degree d-2 Betti number is one.  "sphere_product":
     the chamber where only the singleton {n} is short, n >= 4; with {n}
     short, that holds exactly when {1, n}, the lightest pair containing n,
-    is long.
+    is long.  Both are read off the bitmap: {n-2, n-1} is long exactly when
+    {1..n-3} is a member, and {1, n} exactly when {1} is not; at n = 3
+    every nonempty chamber is the first.
     """
     require_dimension(d)
-    if chamber_signature(lv).is_empty_space:  # enforces ordered + generic
+    signature = chamber_signature(lv)  # enforces ordered + generic
+    if signature.is_empty_space:
         return None
-    n = lv.n
-    if classify_subset(lv, mask_from_indices((n - 2, n - 1))).kind is Kind.LONG:
+    member = signature.members()
+    if member[(1 << (lv.n - 3)) - 1]:
         return "stiefel_times_spheres"
-    if n >= 4 and classify_subset(lv, mask_from_indices((1, n))).kind is Kind.LONG:
+    if not member[1]:
         return "sphere_product"
     return None

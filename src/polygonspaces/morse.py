@@ -24,6 +24,7 @@ from .errors import (
     ConvergenceFailure,
     DegenerateConfiguration,
     NonUnitInput,
+    OutOfRange,
     SubsetNotLong,
     UnsupportedDimension,
 )
@@ -105,7 +106,8 @@ def find_polygon(
     space is empty and the exact deficit is returned instead; when it is
     exactly median the space is the single collinear closure, returned
     as is.  Entries of 2^500 or more are rescaled first, see
-    ``_as_floats``.
+    ``_as_floats``.  A d whose n x d float array numpy cannot index raises
+    OutOfRange before anything of size d is allocated.
     """
     if d < 2:
         raise UnsupportedDimension(f"directions need d >= 2, got {d}")
@@ -114,6 +116,8 @@ def find_polygon(
     deficit = excess(lv, 1 << top)
     if deficit > 0:
         return EmptySpaceCertificate(witness=1 << top, min_residual=deficit)
+    if n * d * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+        raise OutOfRange(f"the {n} x d array of directions exceeds numpy's largest array")
 
     lengths, perimeter = _as_floats(lv)
     if deficit == 0:  # the top side balances all others: one collinear point

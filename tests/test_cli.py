@@ -235,18 +235,21 @@ class TestVerify:
 
     def test_unallocatable_dimension_is_a_limit(self):
         # 10^15 * n * 8 bytes exceeds any 64-bit address space, so
-        # find_polygon's direction array for the hexagon fails at once
-        code, out, err = invoke("verify", "--d", str(10**15), "--l", "1,2,2,2,4,4")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("limit: ")
-        assert "Traceback" not in err
-        # the empty triangle allocates nothing of size d: it is answered
-        code, out, err = invoke("verify", "--d", str(10**15), "--l", "1,1,5", "--json")
-        assert (code, err) == (2, "")
-        doc = json.loads(out)
-        assert doc["realization"] == {"empty": True, "witness": [3], "min_residual": "3"}
-        assert doc["lacunary_consistent"] is True
+        # find_polygon's direction array fails at once; past 10^18 the byte
+        # count, and past 2^63 d itself, no longer fits numpy's index type
+        for d in (10**15, 10**18, 10**20):
+            for vector in ("1,1,1", "1,2,2,2,4,4"):
+                code, out, err = invoke("verify", "--d", str(d), "--l", vector)
+                assert code == 3, (d, vector)
+                assert out == ""
+                assert err.startswith("limit: ")
+                assert "Traceback" not in err
+            # the empty triangle allocates nothing of size d: it is answered
+            code, out, err = invoke("verify", "--d", str(d), "--l", "1,1,5", "--json")
+            assert (code, err) == (2, "")
+            doc = json.loads(out)
+            assert doc["realization"] == {"empty": True, "witness": [3], "min_residual": "3"}
+            assert doc["lacunary_consistent"] is True
 
     def test_one_scan_per_verify(self, monkeypatch):
         calls = []
@@ -435,15 +438,16 @@ class TestClassifyFileOracle:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(cohomology, "chamber_signature")
+        counted(cli, "chamber_signature")
         counted(lengths, "subset_sums")
         lines = _seeded_lines(7, 4, 4)
         code, _, _ = invoke(
             "classify-file", "--file", _write(tmp_path, lines), "--d", "3", "--json"
         )
         assert code == 0
-        # one scan for the chamber, one for the Betti table
-        assert calls == {"chamber_signature": len(lines), "subset_sums": 2 * len(lines)}
+        # the chamber's scan is the only one: the Betti comparison reads
+        # the signature's short counts
+        assert calls == {"chamber_signature": len(lines), "subset_sums": len(lines)}
 
 
 #: 5,000 digits, past Python's 4,300-digit int-from-str limit

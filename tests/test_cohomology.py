@@ -15,7 +15,6 @@ from helpers import (
 from polygonspaces import (
     Kind,
     LengthVector,
-    VectorRecord,
     classify_subset,
     betti_table,
     chamber_signature,
@@ -30,6 +29,7 @@ from polygonspaces import (
     ring_presentation,
     rings_isomorphic_bruteforce,
     short_median_counts,
+    signature_verdict,
 )
 from polygonspaces.cohomology import RingPresentation
 from polygonspaces.errors import (
@@ -287,34 +287,34 @@ class TestClassifyPair:
 
 
 class TestVectorRecord:
-    def test_holds_the_sorted_vector(self):
-        record = VectorRecord.of(parse_length_vector("2,4,1,2,4,2"), 3)
-        assert record.vector == EXAMPLE
-        assert record.n == 6
-        assert record.betti == betti_table(EXAMPLE, 3).dims
+    """A generic vector's record is the chamber signature of its sorted
+    form; ``signature_verdict`` compares two of them."""
+
+    @given(length_vectors(ordered=True, generic=True, max_n=9))
+    def test_short_counts_match_short_median_counts(self, lv):
+        assert chamber_signature(lv).short_counts == short_median_counts(lv)[0]
 
     def test_example_pair(self):
-        verdict = VectorRecord.of(EXAMPLE, 3).verdict(VectorRecord.of(TWIN, 3))
+        verdict = signature_verdict(chamber_signature(EXAMPLE), chamber_signature(TWIN))
         assert verdict == classify_pair(EXAMPLE, TWIN, 3)
         assert verdict.witness == mask_from_indices((1, 4, 6))
 
     def test_errors(self):
-        record = VectorRecord.of(EXAMPLE, 3)
         with pytest.raises(DimensionMismatch):
-            record.verdict(VectorRecord.of(parse_length_vector("1,1,1"), 3))
-        with pytest.raises(DimensionMismatch):
-            record.verdict(VectorRecord.of(TWIN, 4))
-        with pytest.raises(UnsupportedDimension):
-            VectorRecord.of(EXAMPLE, 2)
+            signature_verdict(
+                chamber_signature(EXAMPLE), chamber_signature(parse_length_vector("1,1,1"))
+            )
         with pytest.raises(NotGeneric):
-            VectorRecord.of(parse_length_vector("1,2,2,3"), 3)
+            chamber_signature(parse_length_vector("1,2,2,3"))
 
     @given(st.data(), st.sampled_from([3, 4]))
     @settings(max_examples=60)
     def test_matches_classify_pair_and_oracle(self, data, d):
         a = data.draw(length_vectors(generic=True, max_n=7, max_entry=12))
         b = data.draw(length_vectors(generic=True, min_n=a.n, max_n=a.n, max_entry=12))
-        verdict = VectorRecord.of(a, d).verdict(VectorRecord.of(b, d))
+        verdict = signature_verdict(
+            chamber_signature(a.ordered()), chamber_signature(b.ordered())
+        )
         assert verdict == classify_pair(a, b, d) == oracle_classify_pair(a, b, d)
 
     @pytest.mark.slow
@@ -327,9 +327,9 @@ class TestVectorRecord:
             lv = LengthVector(tuple(rnd.randint(1, 10**6) for _ in range(22)))
             if is_generic(lv):
                 vectors.append(lv)
-        records = [VectorRecord.of(lv, 3) for lv in vectors]
+        signatures = [chamber_signature(lv.ordered()) for lv in vectors]
         for i, j in itertools.combinations(range(4), 2):
-            verdict = records[i].verdict(records[j])
+            verdict = signature_verdict(signatures[i], signatures[j])
             assert verdict.witness is not None
             assert verdict == oracle_classify_pair(vectors[i], vectors[j], 3)
 
@@ -357,6 +357,17 @@ class TestRecognizeSpecial:
             assert tag == "stiefel_times_spheres"
         else:
             assert tag != "stiefel_times_spheres"
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_census_tags(self, n):
+        # every chamber once: each tag names one chamber, by its family
+        tagged = {"stiefel_times_spheres": [], "sphere_product": []}
+        for signature, rep in enumerate_chambers(n).chambers:
+            tag = recognize_special(rep, 3)
+            if tag:
+                tagged[tag].append(signature.masks())
+        assert tagged["stiefel_times_spheres"] == [list(range(1 << (n - 3)))]
+        assert tagged["sphere_product"] == ([[0]] if n >= 4 else [])
 
     @given(length_vectors(ordered=True, generic=True, max_n=7))
     @settings(max_examples=100)

@@ -72,9 +72,9 @@ def _raises(node: ast.AST, name: str) -> bool:
     )
 
 
-def _raisers(name: str) -> list[str]:
-    """Each raise of the error ``name``, named by its innermost enclosing
-    function."""
+def _owners(matches) -> list[str]:
+    """Each node of the package source that ``matches``, named by its
+    innermost enclosing function."""
     found = []
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -85,9 +85,22 @@ def _raisers(name: str) -> list[str]:
         found += [
             f"{path.stem}.{owner.get(node, '<module>')}"
             for node in ast.walk(tree)
-            if _raises(node, name)
+            if matches(node)
         ]
     return found
+
+
+def _raisers(name: str) -> list[str]:
+    """Each raise of the error ``name``, named by its enclosing function."""
+    return _owners(lambda node: _raises(node, name))
+
+
+def _calls(node: ast.AST, name: str) -> bool:
+    func = node.func if isinstance(node, ast.Call) else None
+    return (
+        isinstance(func, ast.Name) and func.id == name
+        or isinstance(func, ast.Attribute) and func.attr == name
+    )
 
 
 def test_one_ordering_check():
@@ -103,6 +116,15 @@ def test_one_ordering_check():
     for form in ("raise NotOrdered('x')", "raise errors.NotOrdered", "raise NotOrdered"):
         assert _raises(ast.parse(form).body[0], "NotOrdered"), form
     assert not _raises(ast.parse("raise NotGeneric('x')").body[0], "NotOrdered")
+
+
+def test_one_subset_scan_kernel():
+    # every subset-derived quantity comes from lengths.top_excess, the one
+    # caller of the 2^(n-1) subset-sum scan
+    assert _owners(lambda node: _calls(node, "subset_sums")) == ["lengths.top_excess"]
+    for form in ("subset_sums(e, t)", "lengths.subset_sums(e, t)"):
+        assert _calls(ast.parse(form).body[0].value, "subset_sums"), form
+    assert not _calls(ast.parse("subset_sizes(3)").body[0].value, "subset_sums")
 
 
 def test_every_exported_name_resolves():
