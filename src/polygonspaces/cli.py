@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+from itertools import islice
 from typing import Sequence, TextIO
 
 from . import __version__
@@ -20,9 +21,9 @@ from .cohomology import (
     PairVerdict,
     betti_table,
     classify_pair,
-    recognize_special,
     ring_presentation,
     signature_verdict,
+    special_tag,
 )
 from .errors import CertificateFailure, DimensionMismatch, InputError, PolygonSpacesError
 from .lengths import LengthVector, exact_str, indices_of_mask, parse_length_vector
@@ -59,7 +60,13 @@ def _subset_json(mask: int | None) -> list[int] | None:
 
 
 def _emit_json(doc: dict, out: TextIO) -> None:
-    out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, written
+    2^16 tokens at a time: joining every token at once held most of a large
+    ``verify`` document's peak, and a write per token is slow."""
+    tokens = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+    while text := "".join(islice(tokens, 1 << 16)):
+        out.write(text)
+    out.write("\n")
 
 
 def _require_d(args: argparse.Namespace) -> int:
@@ -107,9 +114,10 @@ def _cmd_betti(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         return _cmd_ring(args, out, err)
     d = _require_d(args)
     lv = parse_length_vector(args.l).ordered()
-    doc = betti_table(lv, d).to_json_obj()
+    table = betti_table(lv, d)
+    doc = table.to_json_obj()
     empty = not doc["betti"]
-    out.write(f"vector {lv}  n={lv.n} d={d}  manifold dim {doc['manifold_dim']}\n")
+    out.write(f"vector {lv}  n={lv.n} d={d}  manifold dim {exact_str(table.manifold_dim)}\n")
     out.write(f"a = {doc['a']}\n")
     out.write(f"b = {doc['b']}\n")
     if empty:
@@ -117,14 +125,10 @@ def _cmd_betti(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     for deg, dim in sorted(doc["betti"].items(), key=lambda kv: int(kv[0])):
         out.write(f"betti[{deg}] = {dim}\n")
     out.write(f"euler = {doc['euler']}\n")
-    if doc["note"]:
-        # set exactly when a median subset exists, where recognize_special
-        # would raise NotGeneric
+    if doc["note"]:  # set exactly when a median subset exists
         out.write(f"note: {doc['note']}\n")
-    else:
-        tag = recognize_special(lv, d)
-        if tag:
-            out.write(f"special chamber: {tag}\n")
+    elif tag := special_tag(table.a):
+        out.write(f"special chamber: {tag}\n")
     return EXIT_EMPTY if empty else EXIT_OK
 
 
@@ -135,6 +139,7 @@ def _cmd_ring(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     empty = not doc["betti"]
     doc["ring"] = ring = ring_presentation(lv, d).to_json_obj()
     if args.json:
+        exact_str(doc["manifold_dim"])  # the top degree, printed even when empty
         _emit_json(doc, out)
     else:
         out.write(f"vector {lv}  n={lv.n} d={d}\n")
@@ -208,6 +213,7 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     lv = parse_length_vector(args.l).ordered()
     records = critical_data(lv, d)
     solved = find_polygon(lv, d, seed=args.seed)
+    exact_str(max(r.index for r in records))  # printed below
     doc = {
         "n": lv.n,
         "d": d,

@@ -24,6 +24,7 @@ from .chambers import (
 from .errors import DimensionMismatch, SearchTooLarge
 from .lengths import (
     LengthVector,
+    exact_str,
     indices_of_mask,
     mask_from_indices,
     require_dimension,
@@ -69,7 +70,7 @@ class BettiTable:
             "manifold_dim": self.manifold_dim,
             "a": list(self.a),
             "b": list(self.b),
-            "betti": {str(deg): v for deg, v in sorted(self.dims.items())},
+            "betti": {exact_str(deg): v for deg, v in sorted(self.dims.items())},
             "euler": self.euler,
             "note": self.note,
         }
@@ -292,24 +293,24 @@ def signature_verdict(first: ChamberSignature, second: ChamberSignature) -> Pair
     return _verdict(cmp, first.short_counts == second.short_counts)
 
 
-def recognize_special(lv: LengthVector, d: int) -> str | None:
-    """Tag the two chamber families whose manifolds are named products.
+def special_tag(a: tuple[int, ...]) -> str | None:
+    """The named product that the chamber with short counts a_k is, if any.
 
     "stiefel_times_spheres": nonempty with {n-2, n-1} long, the unique
     chamber where the degree d-2 Betti number is one.  "sphere_product":
-    the chamber where only the singleton {n} is short, n >= 4; with {n}
-    short, that holds exactly when {1, n}, the lightest pair containing n,
-    is long.  Both are read off the bitmap: {n-2, n-1} is long exactly when
-    {1..n-3} is a member, and {1, n} exactly when {1} is not; at n = 3
-    every nonempty chamber is the first.
+    only {n} is short, that is, {1, n} is long.  The family is closed under
+    sliding indices down, so {n-2, n-1} is long exactly when some (n-3)-set
+    is a member, and {1, n} exactly when no singleton is; at n = 3 every
+    nonempty chamber is the first.
     """
-    require_dimension(d)
-    signature = chamber_signature(lv)  # enforces ordered + generic
-    if signature.is_empty_space:
+    if not a[0]:  # {n} is long: the space is empty
         return None
-    member = signature.members()
-    if member[(1 << (lv.n - 3)) - 1]:
+    if a[len(a) - 3]:
         return "stiefel_times_spheres"
-    if not member[1]:
-        return "sphere_product"
-    return None
+    return None if a[1] else "sphere_product"
+
+
+def recognize_special(lv: LengthVector, d: int) -> str | None:
+    """The ``special_tag`` of an ordered generic vector."""
+    require_dimension(d)
+    return special_tag(chamber_signature(lv).short_counts)  # ordered + generic

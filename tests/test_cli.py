@@ -1,6 +1,8 @@
 import io
 import json
 import random
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +86,21 @@ class TestBetti:
         assert "note: nongeneric: the space may be singular\n" in out
         assert "special chamber:" not in out
         assert calls == []
+
+    @pytest.mark.parametrize("entries", ["1,2,2,2,4,4", "3/20,3/20,3/20,3/20,2/5", "1,1,1,1"])
+    def test_one_scan_per_text_betti(self, monkeypatch, entries):
+        # the special tag is read off the a_k of the printed table
+        calls = []
+        subset_sums = lengths.subset_sums
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return subset_sums(*args, **kwargs)
+
+        monkeypatch.setattr(lengths, "subset_sums", counted)
+        code, out, _ = invoke("betti", "--d", "3", "--l", entries)
+        assert code == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("entries", ["1,2,2,2,4,4", "1,1,3", "1,1,1,1"])
     def test_json_is_the_ring_document(self, entries):
@@ -263,6 +280,30 @@ class TestVerify:
         code, _, _ = invoke("verify", "--d", "3", "--l", "1,2,2,2,4,4", "--json")
         assert code == 0
         assert len(calls) == 1
+
+    @pytest.mark.slow
+    def test_json_is_written_in_slices(self, monkeypatch):
+        # about a million tokens; joining them all at once peaks near 30 MB
+        # above the document, slices of 2^16 tokens near 4 MB
+        peaks = []
+        emit = cli._emit_json
+
+        def traced(doc, out):
+            tracemalloc.start()
+            try:
+                emit(doc, out)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        written = []  # lengths only: the sink holds no text
+        sink = SimpleNamespace(write=lambda text: written.append(len(text)))
+        monkeypatch.setattr(cli, "_emit_json", traced)
+        vector = ",".join(map(str, range(3, 32, 2)))
+        code = run(["verify", "--d", "3", "--json", "--l", vector], out=sink, err=io.StringIO())
+        assert code == 0
+        assert sum(written) > 4 * 10**6
+        assert peaks[0] < 15 * 2**20
 
     def test_degenerate_configuration_is_a_limit(self, monkeypatch):
         def degenerate(lv, config):
@@ -586,6 +627,12 @@ HUGE_LIMIT = (
 )
 #: how an error message names an entry of HUGE
 HUGE_SHOWN = "<16610-bit integer>"
+#: the largest --d argparse reads; degrees and Morse indices (d-1)k pass the
+#: int-to-str limit
+HUGE_D = "9" * 4300
+HUGE_D_LIMIT = (
+    "limit: an exact integer of 14286 bits exceeds Python's int-to-str digit limit\n"
+)
 
 
 class TestNoTraceback:
@@ -648,12 +695,28 @@ class TestNoTraceback:
                 1,
                 f"error: (3, 3, {HUGE_SHOWN}, {HUGE_SHOWN}) has the median subset (1, 4)\n",
             ),
+            # a degree, the manifold dimension or a Morse index too long to print
+            (("betti", "--d", HUGE_D, "--l", "1,2,2,2,4,4"), 3, HUGE_D_LIMIT),
+            (("betti", "--d", HUGE_D, "--json", "--l", "1,2,2,2,4,4"), 3, HUGE_D_LIMIT),
+            (("ring", "--d", HUGE_D, "--l", "1,2,2,2,4,4"), 3, HUGE_D_LIMIT),
+            (("ring", "--d", HUGE_D, "--json", "--l", "1,2,2,2,4,4"), 3, HUGE_D_LIMIT),
+            (("betti", "--d", HUGE_D, "--l", "1,1,5"), 3, HUGE_D_LIMIT),
+            (("ring", "--d", HUGE_D, "--json", "--l", "1,1,5"), 3, HUGE_D_LIMIT),
+            (("verify", "--d", HUGE_D, "--l", "1,1,5"), 3, HUGE_D_LIMIT),
+            (("verify", "--d", HUGE_D, "--json", "--l", "1,1,5"), 3, HUGE_D_LIMIT),
+            # unchanged: nothing here prints a degree
+            (("ring", "--d", HUGE_D, "--l", "1,1,5"), 2, None),
+            (("compare", "--d", HUGE_D, "--l", "1,2,2,2,4,4", "--l2", "1,1,3,4,8,8"), 0, None),
+            (("classify-file", "--d", HUGE_D, "--file", "{pair}"), 0, None),
         ],
     )
     def test_documented_exit(self, tmp_path, argv, code, err_line):
         path = tmp_path / "vectors.txt"
         path.write_text(f"1,2,2\n{HUGE}\n")
-        argv = [str(path) if a == "{file}" else a for a in argv]
+        pair = tmp_path / "pair.txt"
+        pair.write_text("1,2,2,2,4,4\n1,1,3,4,8,8\n")
+        files = {"{file}": str(path), "{pair}": str(pair)}
+        argv = [files.get(a, a) for a in argv]
         got, out, err = invoke(*argv)
         assert got == code
         if err_line is None:

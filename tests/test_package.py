@@ -118,6 +118,28 @@ def test_one_ordering_check():
     assert not _raises(ast.parse("raise NotGeneric('x')").body[0], "NotOrdered")
 
 
+def _names(node: ast.AST, names) -> bool:
+    """A string constant that is exactly one of ``names``."""
+    return isinstance(node, ast.Constant) and node.value in names
+
+
+SPECIAL_TAGS = ("stiefel_times_spheres", "sphere_product")
+
+
+def test_one_place_names_the_chambers():
+    # cohomology.special_tag is the one place that decides the named
+    # chambers; recognize_special and text betti both call it
+    assert _owners(lambda node: _names(node, SPECIAL_TAGS)) == [
+        "cohomology.special_tag",
+        "cohomology.special_tag",
+    ]
+    for form in ('"sphere_product"', 'tag == "stiefel_times_spheres"'):
+        tree = ast.parse(form)
+        assert any(_names(node, SPECIAL_TAGS) for node in ast.walk(tree)), form
+    # a docstring that mentions a tag does not name it
+    assert not _names(ast.parse('"sphere_product: only {n} short"').body[0].value, SPECIAL_TAGS)
+
+
 def test_one_subset_scan_kernel():
     # every subset-derived quantity comes from lengths.top_excess, the one
     # caller of the 2^(n-1) subset-sum scan
