@@ -27,6 +27,7 @@ from .cohomology import (
 )
 from .errors import CertificateFailure, DimensionMismatch, InputError, PolygonSpacesError
 from .lengths import LengthVector, exact_str, indices_of_mask, parse_length_vector
+from .lengths import _past_digit_limit, _shown
 from .morse import EmptySpaceCertificate, _lacunary, critical_data, find_polygon, jacobian_rank
 
 EXIT_OK = 0
@@ -67,6 +68,18 @@ def _emit_json(doc: dict, out: TextIO) -> None:
     while text := "".join(islice(tokens, 1 << 16)):
         out.write(text)
     out.write("\n")
+
+
+def _int_flag(tok: str) -> int:
+    """An integer flag, read as ``int`` reads it.  A bad token is refused as a
+    vector token is: a limit past the int-from-str digit limit, otherwise a
+    usage error that quotes it in part."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise _past_digit_limit(tok, int) or argparse.ArgumentTypeError(
+            f"invalid int value: {_shown(tok)}"
+        ) from None
 
 
 def _require_d(args: argparse.Namespace) -> int:
@@ -135,27 +148,28 @@ def _cmd_betti(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 def _cmd_ring(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     d = _require_d(args)
     lv = parse_length_vector(args.l).ordered()
-    doc = betti_table(lv, d).to_json_obj()
-    empty = not doc["betti"]
-    doc["ring"] = ring = ring_presentation(lv, d).to_json_obj()
-    if args.json:
+    table = betti_table(lv, d)
+    ring = ring_presentation(lv, d)
+    empty = not table.dims
+    if args.json:  # text prints no degree, so only JSON formats them
+        doc = table.to_json_obj()
+        doc["ring"] = ring.to_json_obj()
         exact_str(doc["manifold_dim"])  # the top degree, printed even when empty
         _emit_json(doc, out)
     else:
         out.write(f"vector {lv}  n={lv.n} d={d}\n")
         out.write(f"generator degree {d - 1}, variables Z1..Z{lv.n}\n")
-        pruned = ", ".join(f"Z{j}" for j in ring["pruned"]) or "none"
+        pruned = ", ".join(f"Z{j}" for j in ring.pruned) or "none"
         out.write(f"pruned variables: {pruned}\n")
         if empty:
             out.write("minimal generators: 1 (the quotient is the zero ring)\n")
         else:
-            gens = (
-                ", ".join("".join(f"Z{j}" for j in g) for g in ring["generators"])
-                or "none"
+            gens = ", ".join(
+                "".join(f"Z{j}" for j in indices_of_mask(m)) for m in ring.minimal_generators
             )
-            out.write(f"minimal generators: {gens}\n")
-        if doc["note"]:
-            out.write(f"note: {doc['note']}\n")
+            out.write(f"minimal generators: {gens or 'none'}\n")
+        if table.note:
+            out.write(f"note: {table.note}\n")
     return EXIT_EMPTY if empty else EXIT_OK
 
 
@@ -326,9 +340,9 @@ def _cmd_classify_file(args: argparse.Namespace, out: TextIO, err: TextIO) -> in
 
 
 _FLAGS = {
-    "--d": dict(type=int, required=True, help="ambient dimension, >= 3"),
+    "--d": dict(type=_int_flag, required=True, help="ambient dimension, >= 3"),
     "--json": dict(action="store_true", help="machine-readable output"),
-    "--seed": dict(type=int, default=0, help="PRNG seed for realization"),
+    "--seed": dict(type=_int_flag, default=0, help="PRNG seed for realization"),
 }
 
 
@@ -360,7 +374,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_compare)
 
     p = subs.add_parser("census", help="all chambers for small n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_flag, required=True)
     _add_flags(p, "--json")
     p.set_defaults(handler=_cmd_census)
 

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -249,6 +249,18 @@ def _shown(tok: str) -> str:
     return repr(tok) if len(tok) <= 40 else f"{tok[:40]!r}... ({len(tok)} characters)"
 
 
+def _past_digit_limit(tok: str, parse: Callable[[str], object]) -> OutOfRange | None:
+    """The limit a token that ``parse`` refused ran into, None if it is
+    malformed: a token that parses with each digit run cut to one digit of
+    the same zeroness failed only on Python's int-from-str digit limit."""
+    try:
+        parse(_DIGITS.sub(lambda run: "1" if run[0].strip("0") else "0", tok))
+    except (ValueError, ZeroDivisionError):
+        return None
+    digits = sum(map(len, _DIGITS.findall(tok)))
+    return OutOfRange(f"a token of {digits} digits exceeds Python's int-from-str digit limit")
+
+
 def _parse_token(tok: str) -> Fraction:
     """One exact rational from a token such as "3/20", "0.15" or "2e3"."""
     exp = _EXPONENT.search(tok)
@@ -259,15 +271,8 @@ def _parse_token(tok: str) -> Fraction:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:
         failure = exc
-    try:
-        # a token that parses with each digit run cut to one digit of the
-        # same zeroness failed only on Python's int-from-str digit limit
-        Fraction(_DIGITS.sub(lambda run: "1" if run[0].strip("0") else "0", tok))
-    except (ValueError, ZeroDivisionError):
-        raise MalformedNumber(f"cannot parse {_shown(tok)} as a rational") from failure
-    digits = sum(map(len, _DIGITS.findall(tok)))
-    raise OutOfRange(
-        f"a token of {digits} digits exceeds Python's int-from-str digit limit"
+    raise _past_digit_limit(tok, Fraction) or MalformedNumber(
+        f"cannot parse {_shown(tok)} as a rational"
     ) from failure
 
 

@@ -193,43 +193,47 @@ class HessianMatrix:
             for x, k in zip(vnum, self.kernel_vector, strict=True)
         )
 
+    @property
+    def signature(self) -> tuple[int, int, int]:
+        """Exact (positive, negative, zero) inertia, certified.
 
-def _reduced_form(lv: LengthVector, subset: int) -> tuple[int, tuple[int, ...]]:
-    """L_J and the kernel vector eps_J(j) l_j of a long subset J."""
-    exc = excess(lv, subset)
-    if exc <= 0:
-        raise SubsetNotLong(f"{indices_of_mask(subset)} is not long")
-    kernel = tuple(e if subset >> i & 1 else -e for i, e in enumerate(lv.entries))
-    return exc, kernel
+        Conjugating D - E by diag(l_j) gives the congruent integer form
+        M = diag(eps_i L_J l_i) - l l^T, a nonsingular diagonal minus a
+        rank-one term.  Haynsworth's inertia additivity (E. V. Haynsworth,
+        "Determination of the inertia of a partitioned Hermitian matrix",
+        Linear Algebra Appl. 1, 1968) on the bordered matrix
+        B = [[diag(eps_i L_J l_i), l], [l^T, 1]], taken both ways, gives
+        In(B) = In(diagonal) + In(sigma) and In(B) = In(1) + In(M), with the
+        Schur complement sigma = 1 - sum l_i^2 / (eps_i L_J l_i), which is
+        (L_J - sum eps_i l_i) / L_J.  Its numerator is computed, not assumed:
+        it is zero, so M has the diagonal's |J| positive and n-|J| negative
+        signs less one positive, plus one zero, the (|J|-1, n-|J|, 1) law; a
+        nonzero numerator raises CertificateFailure.  An L_J read off the
+        subset scan is so checked against the signed sum of the sides.
+        """
+        long_side = tuple(j for j, k in enumerate(self.kernel_vector, 1) if k > 0)
+        if self.excess != sum(self.kernel_vector):
+            raise CertificateFailure(
+                f"the Hessian Schur complement at {long_side} is not zero"
+            )
+        return len(long_side) - 1, len(self.kernel_vector) - len(long_side), 1
+
+
+def _kernel_vector(lv: LengthVector, subset: int) -> tuple[int, ...]:
+    """eps_J(j) l_j: l_j on the long subset J and -l_j off it."""
+    return tuple(e if subset >> i & 1 else -e for i, e in enumerate(lv.entries))
 
 
 def hessian_matrix(lv: LengthVector, subset: int) -> HessianMatrix:
-    return HessianMatrix(*_reduced_form(lv, subset))
+    exc = excess(lv, subset)
+    if exc <= 0:
+        raise SubsetNotLong(f"{indices_of_mask(subset)} is not long")
+    return HessianMatrix(exc, _kernel_vector(lv, subset))
 
 
 def hessian_signature(lv: LengthVector, subset: int) -> tuple[int, int, int]:
-    """Exact (positive, negative, zero) inertia of the reduced form.
-
-    Conjugating D - E by diag(l_j) gives the congruent integer form
-    M = diag(eps_i L_J l_i) - l l^T, a nonsingular diagonal minus a
-    rank-one term.  Haynsworth's inertia additivity (E. V. Haynsworth,
-    "Determination of the inertia of a partitioned Hermitian matrix",
-    Linear Algebra Appl. 1, 1968) on the bordered matrix
-    B = [[diag(eps_i L_J l_i), l], [l^T, 1]], taken both ways, gives
-    In(B) = In(diagonal) + In(sigma) and In(B) = In(1) + In(M), with the
-    Schur complement sigma = 1 - sum l_i^2 / (eps_i L_J l_i), which is
-    (L_J - sum eps_i l_i) / L_J.  Its numerator is computed, not assumed:
-    it is zero, so M has the diagonal's |J| positive and n-|J| negative
-    signs less one positive, plus one zero, the (|J|-1, n-|J|, 1) law; a
-    nonzero numerator raises CertificateFailure.
-    """
-    exc, kernel = _reduced_form(lv, subset)
-    if exc != sum(kernel):
-        raise CertificateFailure(
-            f"the Hessian Schur complement at {indices_of_mask(subset)} is not zero"
-        )
-    size = sum(k > 0 for k in kernel)
-    return size - 1, len(kernel) - size, 1
+    """Exact (positive, negative, zero) inertia, see ``HessianMatrix.signature``."""
+    return hessian_matrix(lv, subset).signature
 
 
 @dataclass(frozen=True)
@@ -263,7 +267,7 @@ def critical_data(lv: LengthVector, d: int) -> list[CriticalSubmanifoldData]:
                 critical_value=-e * e,
                 index=(d - 1) * (n - rep.bit_count()),
                 dim=d - 1,
-                hessian_signature=hessian_signature(lv, rep),
+                hessian_signature=HessianMatrix(abs(e), _kernel_vector(lv, rep)).signature,
             )
         )
     rank = subset_rank(n)

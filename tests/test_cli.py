@@ -281,6 +281,20 @@ class TestVerify:
         assert code == 0
         assert len(calls) == 1
 
+    def test_one_excess_per_verify(self, monkeypatch):
+        # each L_J comes from the scan; only find_polygon's deficit is summed
+        calls = []
+        excess = morse.excess
+
+        def counted(lv, mask):
+            calls.append(mask)
+            return excess(lv, mask)
+
+        monkeypatch.setattr(morse, "excess", counted)
+        code, _, _ = invoke("verify", "--d", "3", "--l", "1,2,2,2,4,4")
+        assert code == 0
+        assert len(calls) == 1
+
     @pytest.mark.slow
     def test_json_is_written_in_slices(self, monkeypatch):
         # about a million tokens; joining them all at once peaks near 30 MB
@@ -314,17 +328,34 @@ class TestVerify:
         assert code == 3
         assert "limit" in err
 
+    @staticmethod
+    def _scan_off_by(monkeypatch, mask, delta):
+        """Make the subset scan's excess of J union {n}, J = mask, off by delta."""
+        top_excess = morse.top_excess
+
+        def off(lv):
+            exc = top_excess(lv)
+            exc[mask] += delta
+            return exc
+
+        monkeypatch.setattr(morse, "top_excess", off)
+
     def test_failed_certificate_is_a_fault(self, monkeypatch):
-        reduced_form = morse._reduced_form
-
-        def off_by_one(lv, subset):
-            exc, kernel = reduced_form(lv, subset)
-            return exc + 1, kernel
-
-        monkeypatch.setattr(morse, "_reduced_form", off_by_one)
+        # {6} is short: its excess -7 reads -6, and L of its complement 6
+        self._scan_off_by(monkeypatch, 0, 1)
         code, out, err = invoke("verify", "--d", "3", "--l", "1,2,2,2,4,4")
         assert (code, out) == (3, "")
         assert err == "fault: the Hessian Schur complement at (1, 2, 3, 4, 5) is not zero\n"
+
+    def test_failed_certificate_on_a_long_scan_entry(self, monkeypatch):
+        # the full set is long: its excess 15 reads 17
+        self._scan_off_by(monkeypatch, -1, 2)
+        for extra in ((), ("--json",)):
+            code, out, err = invoke("verify", "--d", "3", "--l", "1,2,2,2,4,4", *extra)
+            assert (code, out) == (3, "")
+            assert err == (
+                "fault: the Hessian Schur complement at (1, 2, 3, 4, 5, 6) is not zero\n"
+            )
 
 
 class TestClassifyFile:
@@ -633,6 +664,8 @@ HUGE_D = "9" * 4300
 HUGE_D_LIMIT = (
     "limit: an exact integer of 14286 bits exceeds Python's int-to-str digit limit\n"
 )
+#: how an error message quotes a megabyte token of y's
+MEGA_SHOWN = f"{'y' * 40!r}... (1000000 characters)"
 
 
 class TestNoTraceback:
@@ -682,7 +715,7 @@ class TestNoTraceback:
             (
                 ("betti", "--d", "3", "--l", "y" * 10**6 + ",1,1"),
                 1,
-                f"error: cannot parse {'y' * 40!r}... (1000000 characters) as a rational\n",
+                f"error: cannot parse {MEGA_SHOWN} as a rational\n",
             ),
             # a long vector is repeated only in part
             (
@@ -698,16 +731,37 @@ class TestNoTraceback:
             # a degree, the manifold dimension or a Morse index too long to print
             (("betti", "--d", HUGE_D, "--l", "1,2,2,2,4,4"), 3, HUGE_D_LIMIT),
             (("betti", "--d", HUGE_D, "--json", "--l", "1,2,2,2,4,4"), 3, HUGE_D_LIMIT),
-            (("ring", "--d", HUGE_D, "--l", "1,2,2,2,4,4"), 3, HUGE_D_LIMIT),
             (("ring", "--d", HUGE_D, "--json", "--l", "1,2,2,2,4,4"), 3, HUGE_D_LIMIT),
+            (("betti", "--d", HUGE_D, "--l", "1,1,1,1"), 3, HUGE_D_LIMIT),
             (("betti", "--d", HUGE_D, "--l", "1,1,5"), 3, HUGE_D_LIMIT),
             (("ring", "--d", HUGE_D, "--json", "--l", "1,1,5"), 3, HUGE_D_LIMIT),
             (("verify", "--d", HUGE_D, "--l", "1,1,5"), 3, HUGE_D_LIMIT),
             (("verify", "--d", HUGE_D, "--json", "--l", "1,1,5"), 3, HUGE_D_LIMIT),
-            # unchanged: nothing here prints a degree
+            # nothing here prints a degree
             (("ring", "--d", HUGE_D, "--l", "1,1,5"), 2, None),
+            (("ring", "--d", HUGE_D, "--l", "1,2,2,2,4,4"), 0, None),
+            (("ring", "--d", HUGE_D, "--l", "1,1,1,1"), 0, None),  # nongeneric: its note
             (("compare", "--d", HUGE_D, "--l", "1,2,2,2,4,4", "--l2", "1,1,3,4,8,8"), 0, None),
             (("classify-file", "--d", HUGE_D, "--file", "{pair}"), 0, None),
+            # an integer flag is read as a vector token is
+            (("verify", "--d", LONG_DIGITS, "--l", "1,1,1"), 3, LONG_DIGITS_LIMIT),
+            (("verify", "--d", "3", "--seed", LONG_DIGITS, "--l", "1,1,1"), 3, LONG_DIGITS_LIMIT),
+            (("census", "--n", LONG_DIGITS), 3, LONG_DIGITS_LIMIT),
+            (
+                ("verify", "--d", "y" * 10**6, "--l", "1,1,1"),
+                1,
+                f"usage error: argument --d: invalid int value: {MEGA_SHOWN}\n",
+            ),
+            (
+                ("verify", "--d", "3", "--seed", "y" * 10**6, "--l", "1,1,1"),
+                1,
+                f"usage error: argument --seed: invalid int value: {MEGA_SHOWN}\n",
+            ),
+            (
+                ("census", "--n", "y" * 10**6),
+                1,
+                f"usage error: argument --n: invalid int value: {MEGA_SHOWN}\n",
+            ),
         ],
     )
     def test_documented_exit(self, tmp_path, argv, code, err_line):
@@ -725,6 +779,16 @@ class TestNoTraceback:
             assert out == ""
             assert err == err_line
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("token", [" 4", "+4", "0_4", "\uff14"])
+    def test_integer_flag_reads_as_int(self, token):
+        # every token int() takes keeps its value
+        for argv in (
+            ("betti", "--l", "1,1,1", "--d"),
+            ("verify", "--d", "3", "--l", "1,1,1", "--seed"),
+            ("census", "--n"),
+        ):
+            assert invoke(*argv, token) == invoke(*argv, "4")
 
 
 #: the input errors (exit 1); every other typed error is a limit (exit 3)

@@ -257,13 +257,11 @@ class TestHessian:
                 expected = oracle_integer_inertia(oracle_hessian_form(entries, subset))
                 assert hessian_signature(lv, subset) == expected
 
-    def test_nonzero_schur_complement_fails_the_certificate(self, monkeypatch):
-        lv = parse_length_vector("1,2,2,2,4,4")
-        subset = mask_from_indices((5, 6))
-        exc, kernel = morse._reduced_form(lv, subset)
-        monkeypatch.setattr(morse, "_reduced_form", lambda lv, s: (exc + 1, kernel))
-        with pytest.raises(CertificateFailure):
-            hessian_signature(lv, subset)
+    def test_nonzero_schur_complement_fails_the_certificate(self):
+        H = hessian_matrix(parse_length_vector("1,2,2,2,4,4"), mask_from_indices((5, 6)))
+        assert H.signature == (1, 4, 1)
+        with pytest.raises(CertificateFailure, match=r"at \(5, 6\) is not zero"):
+            morse.HessianMatrix(H.excess + 1, H.kernel_vector).signature
 
     def test_stores_linear_data(self):
         H = hessian_matrix(parse_length_vector("1,2,2,3,5,9"), mask_from_indices((5, 6)))
@@ -396,6 +394,25 @@ class TestBoundaryVectors:
         assert min(r.critical_value for r in recs) < -(2**63)
 
     @pytest.mark.parametrize("entries", BOUNDARY_VECTORS)
+    def test_scan_error_fails_the_certificate(self, monkeypatch, entries):
+        # each record's L_J is read off the scan, on its int64 path and on its
+        # object path, and checked against the signed sum of the sides
+        lv = LengthVector(entries)
+        scan = morse.top_excess(lv)
+        assert (scan.dtype == object) == (2 * lv.total >= 2**63)
+        full, top = (1 << lv.n) - 1, 1 << (lv.n - 1)
+        for mask, e in enumerate(scan.tolist()):
+            wrong = scan.copy()
+            wrong[mask] += 1 if e > 0 else -1  # away from zero: still generic
+            monkeypatch.setattr(morse, "top_excess", lambda lv: wrong)
+            rep = mask | top if e > 0 else full ^ (mask | top)
+            with pytest.raises(CertificateFailure) as failure:
+                critical_data(lv, 3)
+            assert str(failure.value) == (
+                f"the Hessian Schur complement at {indices_of_mask(rep)} is not zero"
+            )
+
+    @pytest.mark.parametrize("entries", BOUNDARY_VECTORS)
     def test_complement_polynomial_matches_oracle(self, entries):
         n = len(entries)
         hi = 1 << (n - 1)
@@ -465,13 +482,13 @@ class TestComplementHomology:
 
     def test_wrong_inertia_fails_the_check(self, monkeypatch):
         # the check reads the exact Hessians, not the counts it was built from
-        signature = morse.hessian_signature
+        signature = morse.HessianMatrix.signature.fget
 
-        def one_sign_flipped(lv, subset):
-            pos, neg, zero = signature(lv, subset)
+        def one_sign_flipped(form):
+            pos, neg, zero = signature(form)
             return (pos + 1, neg - 1, zero) if neg else (pos, neg, zero)
 
-        monkeypatch.setattr(morse, "hessian_signature", one_sign_flipped)
+        monkeypatch.setattr(morse.HessianMatrix, "signature", property(one_sign_flipped))
         assert not lacunary_consistency(parse_length_vector("1,2,2,2,4,4"), 3)
 
     @given(length_vectors(ordered=True, generic=True, max_n=6), st.sampled_from([3, 4, 5]))

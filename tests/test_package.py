@@ -118,6 +118,20 @@ def test_one_ordering_check():
     assert not _raises(ast.parse("raise NotGeneric('x')").body[0], "NotOrdered")
 
 
+def test_one_hessian_certificate():
+    # HessianMatrix.signature is the one place that checks the Schur
+    # complement, and critical_data takes each L_J from its scan, not excess
+    assert _raisers("CertificateFailure") == [
+        "chambers.realize_signature",
+        "chambers.enumerate_chambers",
+        "morse.signature",
+    ]
+    assert "morse.critical_data" not in _owners(lambda node: _calls(node, "excess"))
+    for form in ("excess(lv, m)", "lengths.excess(lv, m)"):
+        assert _calls(ast.parse(form).body[0].value, "excess"), form
+    assert not _calls(ast.parse("top_excess(lv)").body[0].value, "excess")
+
+
 def _names(node: ast.AST, names) -> bool:
     """A string constant that is exactly one of ``names``."""
     return isinstance(node, ast.Constant) and node.value in names
