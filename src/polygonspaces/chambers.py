@@ -253,43 +253,40 @@ def enumerate_chambers(n: int) -> CensusResult:
     """Complete census of chambers of the ordered cone for small n.
 
     Walks the lattice of dominance-order ideals along single-set flips,
-    starting from the empty family; each new candidate is LP-tested.
-    Every chamber of the cone is convex, so the flip graph restricted to
-    realizable families is connected and the walk is exhaustive.
+    breadth-first from the empty family, LP-testing each new candidate.
+    A chamber with k members is exactly k flips from the empty family
+    (raise l_n and its members leave one wall at a time), so the levels
+    are member counts.  Every chamber of the cone is convex, so the flip
+    graph restricted to realizable families is connected and the walk is
+    exhaustive.
     """
     if not CENSUS_MIN_N <= n <= CENSUS_MAX_N:
         raise OutOfRange(
             f"census supports {CENSUS_MIN_N} <= n <= {CENSUS_MAX_N}, got {n}"
         )
     start = ChamberSignature.from_masks(n, ())
-    first = realize_signature(start)
-    if first is None:
+    rep = realize_signature(start)
+    if rep is None:
         raise CertificateFailure("the LP found no vector with an empty polygon space")
-    # keyed by bitmap: a candidate seen before is skipped before its
-    # signature is built and validated
-    found: dict[bytes, tuple[ChamberSignature, LengthVector]] = {start.bitmap: (start, first)}
-    infeasible: set[bytes] = set()
-    frontier = [start]
-    while frontier:
-        chamber = frontier.pop()
+    # keyed by bitmap, None when the LP is infeasible: a candidate seen
+    # before is skipped before its signature is built and validated
+    seen: dict[bytes, LengthVector | None] = {start.bitmap: rep}
+    found = [(start, rep)]
+    for chamber, _ in found:  # the list grows while it is walked
         member = chamber.members()
         for m in chamber.walls:
             member[m] ^= True
             bitmap = _pack(member)
             member[m] ^= True
-            if bitmap in found or bitmap in infeasible:
-                continue
-            cand = ChamberSignature(n, bitmap)
-            rep = realize_signature(cand)
-            if rep is None:
-                infeasible.add(bitmap)
-            else:
-                found[bitmap] = (cand, rep)
-                frontier.append(cand)
+            if bitmap not in seen:
+                cand = ChamberSignature(n, bitmap)
+                seen[bitmap] = rep = realize_signature(cand)
+                if rep is not None:
+                    found.append((cand, rep))
     # by the printed family as compact JSON text; sorting the index lists
     # themselves gives another order
     ordered = sorted(
-        found.values(),
+        found,
         key=lambda chamber: json.dumps(chamber[0].family_indices(), separators=(",", ":")),
     )
     return CensusResult(n, tuple(ordered))

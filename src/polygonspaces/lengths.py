@@ -338,10 +338,12 @@ def top_excess(lv: LengthVector) -> np.ndarray:
 
 
 def reject_median(lv: LengthVector, exc: np.ndarray) -> None:
-    """Raise NotGeneric naming the smallest median subset containing n."""
+    """Raise NotGeneric naming the first median subset containing n in
+    index-tuple order (none is nested in another, so n keeps the order)."""
     medians = np.flatnonzero(exc == 0)
     if medians.size:
-        mask = int(medians[0]) | 1 << (lv.n - 1)
+        first = medians[subset_rank(lv.n - 1)[medians].argmin()]
+        mask = int(first) | 1 << (lv.n - 1)
         raise NotGeneric(
             f"{shown_vector(lv.entries)} has the median subset {indices_of_mask(mask)}"
         )

@@ -30,7 +30,6 @@ from .errors import (
 )
 from .lengths import (
     LengthVector,
-    complement_mask,
     excess,
     indices_of_mask,
     reject_median,
@@ -250,29 +249,29 @@ def critical_data(lv: LengthVector, d: int) -> list[CriticalSubmanifoldData]:
 
     Generic vectors only: a median pair would sit on the zero level and
     the critical structure there is not isolated from the polygon space.
-    Sorted by critical value, most negative first.
+    Sorted by critical value, most negative first, ties in index-tuple
+    order of the long sides.
     """
     if d < 2:
         raise UnsupportedDimension(f"directions need d >= 2, got {d}")
     exc = top_excess(lv)
     reject_median(lv, exc)
     n = lv.n
-    hi = 1 << (n - 1)
-    records = []
-    for m, e in enumerate(exc.tolist()):
-        rep = m | hi if e > 0 else complement_mask(m | hi, n)
-        records.append(
-            CriticalSubmanifoldData(
-                subset=rep,
-                critical_value=-e * e,
-                index=(d - 1) * (n - rep.bit_count()),
-                dim=d - 1,
-                hessian_signature=HessianMatrix(abs(e), _kernel_vector(lv, rep)).signature,
-            )
+    # the long side of each pair: J union {n}, or its complement where short
+    reps = np.arange(1 << (n - 1), 1 << n)
+    reps[exc < 0] ^= (1 << n) - 1
+    long_excess = abs(exc)
+    order = np.lexsort((subset_rank(n)[reps], -long_excess))
+    return [
+        CriticalSubmanifoldData(
+            subset=rep,
+            critical_value=-e * e,
+            index=(d - 1) * (n - rep.bit_count()),
+            dim=d - 1,
+            hessian_signature=HessianMatrix(e, _kernel_vector(lv, rep)).signature,
         )
-    rank = subset_rank(n)
-    records.sort(key=lambda r: (r.critical_value, rank[r.subset]))
-    return records
+        for rep, e in zip(reps[order].tolist(), long_excess[order].tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------

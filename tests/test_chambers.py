@@ -291,7 +291,7 @@ class TestCensus:
     def test_walls_found_once_per_candidate(self, monkeypatch):
         # n = 7 runs 161 LPs, 135 of them feasible: each candidate costs one
         # closure check and two wall scans, each feasible round trip one
-        # more check; a popped chamber flips its cached walls
+        # more check; a chamber taken from the walk flips its cached walls
         calls = []
         closed_below = chambers._closed_below
         monkeypatch.setattr(
@@ -299,6 +299,23 @@ class TestCensus:
         )
         assert enumerate_chambers(7).count == 135
         assert len(calls) == 3 * 161 + 135
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_walk_is_breadth_first(self, monkeypatch, n):
+        # a chamber with k members is k flips from the empty family, so a
+        # breadth-first walk realizes the chambers by member count
+        counts = []
+        realize = chambers.realize_signature
+
+        def recording(cand):
+            rep = realize(cand)
+            if rep is not None:
+                counts.append(len(cand.masks()))
+            return rep
+
+        monkeypatch.setattr(chambers, "realize_signature", recording)
+        assert enumerate_chambers(n).count == len(counts)
+        assert counts == sorted(counts)
 
     def test_lp_pivot_path(self, monkeypatch):
         # the pivot count pins Bland's path through every LP, not only the

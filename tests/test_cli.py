@@ -762,6 +762,13 @@ class TestNoTraceback:
                 1,
                 f"usage error: argument --n: invalid int value: {MEGA_SHOWN}\n",
             ),
+            # of several median subsets, the first in index-tuple order is
+            # named, not (2, 3, 5, 8) of lowest mask
+            (
+                ("verify", "--d", "3", "--l", "2,5,6,7,8,10,10,10"),
+                1,
+                "error: (2, 5, 6, 7, 8, 10, 10, 10) has the median subset (1, 4, 6, 8)\n",
+            ),
         ],
     )
     def test_documented_exit(self, tmp_path, argv, code, err_line):

@@ -393,6 +393,23 @@ class TestBoundaryVectors:
         # far beyond int64: a wrapped square would show here
         assert min(r.critical_value for r in recs) < -(2**63)
 
+    def test_record_order_with_ties_on_the_object_path(self):
+        # 2L = 10 * 2^62 + 2 takes the object scan; four equal sides give
+        # 16 records with 5 distinct values, so the ties decide the order
+        entries = (2**62,) * 4 + (2**62 + 1,)
+        lv = LengthVector(entries)
+        assert morse.top_excess(lv).dtype == object
+        long_sides = [
+            indices_of_mask(m)
+            for m in range(1 << lv.n)
+            if oracle_excess(entries, indices_of_mask(m)) > 0
+        ]
+        want = sorted(long_sides, key=lambda s: (-oracle_excess(entries, s) ** 2, s))
+        recs = critical_data(lv, 3)
+        assert [indices_of_mask(r.subset) for r in recs] == want
+        assert len(recs) == 16
+        assert len({r.critical_value for r in recs}) == 5
+
     @pytest.mark.parametrize("entries", BOUNDARY_VECTORS)
     def test_scan_error_fails_the_certificate(self, monkeypatch, entries):
         # each record's L_J is read off the scan, on its int64 path and on its
