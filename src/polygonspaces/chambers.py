@@ -115,7 +115,8 @@ class ChamberSignature:
 
 class ChamberComparison(NamedTuple):
     same: bool
-    #: subset containing n that is short for exactly one side, or None
+    #: J with n adjoined, for the first J of {1..n-1} in index-tuple order
+    #: such that J + {n} is short for exactly one side; None when they agree
     witness: int | None
 
 
@@ -129,8 +130,9 @@ def same_chamber_up_to_permutation(
     first: LengthVector, second: LengthVector
 ) -> ChamberComparison:
     """Sort both vectors, then compare chambers; sorting loses nothing.  The
-    witness is the smallest distinguishing subset (index-tuple order) with
-    n adjoined."""
+    witness is the distinguishing J of {1..n-1} that comes first in
+    index-tuple order, with n adjoined; it is ranked before n is adjoined,
+    so it need not be the first distinguishing subset as printed."""
     if first.n != second.n:
         raise DimensionMismatch(f"n={first.n} vs n={second.n}")
     a = chamber_signature(first.ordered())
@@ -139,8 +141,9 @@ def same_chamber_up_to_permutation(
 
 
 def _compare_families(a: ChamberSignature, b: ChamberSignature) -> ChamberComparison:
-    """Compare the signatures of two n-gons; the witness is the smallest
-    mask of the symmetric difference, index-tuple order, with n adjoined."""
+    """Compare the signatures of two n-gons; the witness is the mask J of
+    the symmetric difference that comes first in index-tuple order, then
+    n is adjoined."""
     if a == b:
         return ChamberComparison(True, None)
     differ = np.flatnonzero(a.members() ^ b.members())

@@ -1,15 +1,17 @@
 """Command-line surface: betti, ring, compare, census, verify, classify-file.
 
-Exit codes: 0 success, 1 input error, 2 mathematically empty result
-(empty space), 3 internal limits (caps, solver, memory) and failed
-certificates; a failed certificate is a fault in this package and is
-printed as "fault:", every other exit-3 error as "limit:".
+Exit codes: 0 success, 1 input error (an unreadable --file among them),
+2 mathematically empty result (empty space), 3 internal limits (caps,
+solver, memory, a failed write to the output) and failed certificates; a
+failed certificate is a fault in this package and is printed as "fault:",
+every other exit-3 error as "limit:".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from itertools import islice
@@ -35,10 +37,10 @@ EXIT_INPUT = 1
 EXIT_EMPTY = 2
 EXIT_LIMIT = 3
 
-_INPUT_ERRORS = (InputError, OSError)
-#: every other typed error (see errors.py), and allocations no machine can
-#: serve, such as a huge --d in verify
-_LIMIT_ERRORS = (PolygonSpacesError, MemoryError)
+#: every other typed error (see errors.py), allocations no machine can
+#: serve, such as a huge --d in verify, and an output stream that fails,
+#: such as a pipe whose reader has gone
+_LIMIT_ERRORS = (PolygonSpacesError, MemoryError, OSError)
 #: the surrogates that errors="surrogateescape" decodes bad bytes to
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
@@ -96,25 +98,28 @@ def _read_records(
     rejected one: not UTF-8 before its comment, unparsable, nongeneric, or
     with an n other than the first accepted line's."""
     vectors, signatures, rejected = [], [], []
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
-        for number, line in enumerate(handle, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if undecoded := _UNDECODED.search(line):
-                byte = ord(undecoded[0]) - 0xDC00
-                rejected.append(f"error: line {number}: byte {byte:#04x} is not utf-8\n")
-                continue
-            try:
-                lv = parse_length_vector(line)
-                if signatures and lv.n != signatures[0].n:
-                    raise DimensionMismatch(
-                        f"n={lv.n} vs n={signatures[0].n} of the first accepted line"
-                    )
-                signatures.append(chamber_signature(lv.ordered()))
-                vectors.append(lv)
-            except InputError as exc:
-                rejected.append(f"error: line {number}: {exc}\n")
+    try:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
+            for number, line in enumerate(handle, 1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if undecoded := _UNDECODED.search(line):
+                    byte = ord(undecoded[0]) - 0xDC00
+                    rejected.append(f"error: line {number}: byte {byte:#04x} is not utf-8\n")
+                    continue
+                try:
+                    lv = parse_length_vector(line)
+                    if signatures and lv.n != signatures[0].n:
+                        raise DimensionMismatch(
+                            f"n={lv.n} vs n={signatures[0].n} of the first accepted line"
+                        )
+                    signatures.append(chamber_signature(lv.ordered()))
+                    vectors.append(lv)
+                except InputError as exc:
+                    rejected.append(f"error: line {number}: {exc}\n")
+    except OSError as exc:  # opening or reading --file, not writing output
+        raise InputError(str(exc)) from exc
     return vectors, signatures, rejected
 
 
@@ -400,11 +405,13 @@ def run(
     err = err if err is not None else sys.stderr
     try:
         args = build_parser().parse_args(list(argv) if argv is not None else None)
-        return args.handler(args, out, err)
+        code = args.handler(args, out, err)
+        out.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except _UsageError as exc:
         err.write(f"usage error: {exc}\n")
         return EXIT_INPUT
-    except _INPUT_ERRORS as exc:
+    except InputError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INPUT
     except CertificateFailure as exc:  # a fault in this package, not a limit
@@ -416,7 +423,15 @@ def run(
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # run() has reported the failed write; as the signal module's docs
+        # advise for SIGPIPE, point stdout at devnull, so the interpreter's
+        # final flush neither prints nor changes the exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

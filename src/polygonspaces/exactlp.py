@@ -1,13 +1,27 @@
 """Exact linear programming on integer rows: dense two-phase simplex.
 
 Coefficients, right-hand sides and objectives are integers; the optimum
-and its vertex come back as exact rationals.  The tableau is held as
-integer rows over one shared positive denominator d, and pivots are
-fraction-free (Bareiss 1968, Edmonds).  Slack and artificial entries are
-+-1, so the starting basis is the identity and d = 1.  Every later
-tableau is then +-adj(B) A over d = |det B| for the current basis B.  A
-pivot divides an integer combination of two rows by the previous d, and
-the quotient is an entry of +-adj(B') A for the next basis B', so by
+and its vertex come back as exact rationals.  A row with a negative
+right-hand side is negated first, which swaps <= and >=.  The tableau's
+columns are then four blocks, each in row order:
+
+- the variables;
+- one slack per inequality: +1 on a <= row, -1 on a >= row;
+- one artificial per row that is not <=: +1 on its row;
+- the right-hand side.
+
+The starting basis is the slack of every <= row and the artificial of
+every other row.  Phase 1 always runs: it maximizes minus the sum of the
+artificials, and with no artificials its cost is zero, so it stops before
+any pivot.  Phase 2 drops the artificial block.  Bland's rule enters the
+lowest eligible column index, so this order fixes the pivot sequence.
+
+The tableau is held as integer rows over one shared positive
+denominator d, and pivots are fraction-free (Bareiss 1968, Edmonds).
+The starting basis is the identity, so d = 1 at first.  Every later
+tableau is +-adj(B) A over d = |det B| for the current basis B.  A pivot
+divides an integer combination of two rows by the previous d, and the
+quotient is an entry of +-adj(B') A for the next basis B', so by
 Sylvester's identity the division is exact.  Dropping a redundant row
 keeps this: its artificial would stay basic, and the row would take no
 part in later pivots.  Feasibility, infeasibility and optimality are thus
@@ -78,14 +92,15 @@ def _pivot(rows: list[list[int]], d: int, r: int, c: int) -> int:
 
 
 def _simplex(
-    rows: list[list[int]], basis: list[int], d: int, cost: list[int], ncols: int
+    rows: list[list[int]], basis: list[int], d: int, cost: list[int]
 ) -> tuple[str, int]:
-    """Maximize cost.x on the canonical tableau rows/d; Bland's rule
-    throughout.  Returns the status and the final denominator."""
+    """Maximize cost.x on the canonical tableau rows/d, whose columns are
+    those of cost and then the right-hand side; Bland's rule throughout.
+    Returns the status and the final denominator."""
     while True:
         priced = [(cost[b], row) for b, row in zip(basis, rows) if cost[b]]
         entering = next(
-            (j for j in range(ncols) if d * cost[j] > sum(y * row[j] for y, row in priced)),
+            (j for j in range(len(cost)) if d * cost[j] > sum(y * row[j] for y, row in priced)),
             -1,
         )
         if entering < 0:
@@ -113,66 +128,44 @@ def maximize(objective: Sequence[int], constraints: Sequence[Constraint]) -> LPR
     """Solve max objective.x subject to the constraints and x >= 0."""
     obj = list(map(operator.index, objective))
     nvars = len(obj)
-    rows = []
+    rows = []  # (coeffs, slack entry: +1 on <=, -1 on >=, 0 on =; rhs >= 0)
     for con in constraints:
         if len(con.coeffs) != nvars:
             raise ValueError("constraint width does not match the objective")
-        coeffs, rel, rhs = list(con.coeffs), con.relation, con.rhs
-        if rhs < 0:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
-            rel = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}[rel]
-        rows.append((coeffs, rel, rhs))
+        flip = -1 if con.rhs < 0 else 1
+        sign = {LESS_EQUAL: flip, GREATER_EQUAL: -flip, EQUAL: 0}[con.relation]
+        rows.append(([flip * c for c in con.coeffs], sign, flip * con.rhs))
 
-    n_slack = sum(1 for _, rel, _ in rows if rel != EQUAL)
-    n_art = sum(1 for _, rel, _ in rows if rel != LESS_EQUAL)
-    ncols = nvars + n_slack + n_art
-    tableau: list[list[int]] = []
-    basis: list[int] = []
-    slack_at = nvars
-    art_at = nvars + n_slack
-    for coeffs, rel, rhs in rows:
-        row = coeffs + [0] * (n_slack + n_art) + [rhs]
-        if rel == LESS_EQUAL:
-            row[slack_at] = 1
-            basis.append(slack_at)
-            slack_at += 1
-        elif rel == GREATER_EQUAL:
-            row[slack_at] = -1
-            slack_at += 1
-            row[art_at] = 1
-            basis.append(art_at)
-            art_at += 1
-        else:
-            row[art_at] = 1
-            basis.append(art_at)
-            art_at += 1
-        tableau.append(row)
-    d = 1
+    slacks = [i for i, (_, sign, _) in enumerate(rows) if sign]
+    arts = [i for i, (_, sign, _) in enumerate(rows) if sign != 1]
+    art_start = nvars + len(slacks)
+    tableau = [coeffs + [0] * (len(slacks) + len(arts)) + [rhs] for coeffs, _, rhs in rows]
+    basis = [0] * len(rows)
+    for j, i in enumerate(slacks, nvars):
+        tableau[i][j] = rows[i][1]
+        basis[i] = j
+    for j, i in enumerate(arts, art_start):  # a >= row's artificial replaces its slack
+        tableau[i][j] = 1
+        basis[i] = j
 
-    art_start = nvars + n_slack
-    if n_art:
-        phase1 = [0] * art_start + [-1] * n_art
-        _, d = _simplex(tableau, basis, d, phase1, ncols)
-        if any(row[-1] > 0 for row, b in zip(tableau, basis) if b >= art_start):
-            return LPResult(INFEASIBLE)
-        # pivot lingering degenerate artificials out, dropping redundant rows
-        for i in range(len(tableau) - 1, -1, -1):
-            if basis[i] >= art_start:
-                col = next(
-                    (j for j in range(art_start) if tableau[i][j] != 0), None
-                )
-                if col is None:
-                    del tableau[i]
-                    del basis[i]
-                else:
-                    d = _pivot(tableau, d, i, col)
-                    basis[i] = col
-        tableau = [row[:art_start] + row[-1:] for row in tableau]
-        ncols = art_start
+    phase1 = [0] * art_start + [-1] * len(arts)
+    _, d = _simplex(tableau, basis, 1, phase1)
+    if any(row[-1] > 0 for row, b in zip(tableau, basis) if b >= art_start):
+        return LPResult(INFEASIBLE)
+    # pivot lingering degenerate artificials out, dropping redundant rows
+    for i in range(len(tableau) - 1, -1, -1):
+        if basis[i] >= art_start:
+            col = next((j for j in range(art_start) if tableau[i][j] != 0), None)
+            if col is None:
+                del tableau[i]
+                del basis[i]
+            else:
+                d = _pivot(tableau, d, i, col)
+                basis[i] = col
+    tableau = [row[:art_start] + row[-1:] for row in tableau]
 
-    cost = obj + [0] * (ncols - nvars)
-    status, d = _simplex(tableau, basis, d, cost, ncols)
+    cost = obj + [0] * (art_start - nvars)
+    status, d = _simplex(tableau, basis, d, cost)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)
     x = [Fraction(0)] * nvars

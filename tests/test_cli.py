@@ -1,7 +1,11 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -58,6 +62,17 @@ class TestBetti:
         code, out, _ = invoke("betti", "--l", "1,1,3", "--d", "3", "--json")
         assert code == 2
         assert json.loads(out)["betti"] == {}
+
+    def test_empty_space_text(self):
+        assert invoke("betti", "--d", "3", "--l", "1,1,5") == (
+            2,
+            "vector (1, 1, 5)  n=3 d=3  manifold dim 3\n"
+            "a = [0, 0, 0]\n"
+            "b = [0, 0, 0]\n"
+            "all Betti numbers vanish: the space is empty\n"
+            "euler = 0\n",
+            "",
+        )
 
     def test_low_dimension_rejected(self):
         code, _, err = invoke("betti", "--l", "1,1,1", "--d", "2")
@@ -139,6 +154,13 @@ class TestCompare:
             out.strip()
             == "NOT diffeomorphic; Betti numbers identical; witness subset {1,4,6}"
         )
+        # J = (1,), (1, 2) and (2,) distinguish these; the witness is ranked
+        # before n is adjoined, so (1,) wins although {1,2,5} prints first
+        code, out, _ = invoke(
+            "compare", "--l", "4,5,11,16,17", "--l2", "3,5,6,6,17", "--d", "3"
+        )
+        assert code == 0
+        assert out == "NOT diffeomorphic; Betti numbers differ; witness subset {1,5}\n"
 
     def test_permuted_pair(self):
         code, out, _ = invoke(
@@ -221,6 +243,20 @@ class TestVerify:
             "min_residual": "1",
         }
         assert doc["jacobian_rank"] is None
+
+    def test_empty_report_text(self):
+        assert invoke("verify", "--d", "3", "--l", "1,1,5") == (
+            2,
+            "vector (1, 1, 5)  n=3 d=3\n"
+            "critical records (4):\n"
+            "  J={1,2,3} value=-49 index=0 signature=(2, 0, 1)\n"
+            "  J={1,3} value=-25 index=2 signature=(1, 1, 1)\n"
+            "  J={2,3} value=-25 index=2 signature=(1, 1, 1)\n"
+            "  J={3} value=-9 index=4 signature=(0, 2, 1)\n"
+            "empty space: witness {3}, exact min residual 3\n"
+            "lacunary consistency: ok\n",
+            "",
+        )
 
     def test_deterministic_for_seed(self):
         first = invoke("verify", "--l", "1,2,2,3,5", "--d", "3", "--seed", "9", "--json")
@@ -311,7 +347,7 @@ class TestVerify:
                 tracemalloc.stop()
 
         written = []  # lengths only: the sink holds no text
-        sink = SimpleNamespace(write=lambda text: written.append(len(text)))
+        sink = SimpleNamespace(write=lambda text: written.append(len(text)), flush=lambda: None)
         monkeypatch.setattr(cli, "_emit_json", traced)
         vector = ",".join(map(str, range(3, 32, 2)))
         code = run(["verify", "--d", "3", "--json", "--l", vector], out=sink, err=io.StringIO())
@@ -389,8 +425,20 @@ class TestClassifyFile:
         assert code == 1
 
     def test_missing_file(self):
-        code, _, err = invoke("classify-file", "--file", "/nonexistent", "--d", "3")
-        assert code == 1
+        assert invoke("classify-file", "--file", "/nonexistent", "--d", "3") == (
+            1,
+            "",
+            "error: [Errno 2] No such file or directory: '/nonexistent'\n",
+        )
+
+    def test_file_without_vectors(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("# only a comment\n\n")
+        assert invoke("classify-file", "--file", str(path), "--d", "3") == (
+            1,
+            "",
+            f"usage error: no vectors found in {path}\n",
+        )
 
     def test_non_utf8_file_is_input_error(self, tmp_path):
         path = tmp_path / "vectors.txt"
@@ -837,6 +885,31 @@ class TestExitClasses:
         else:
             assert (code, err) == (3, "limit: boom\n")
         assert out == ""
+
+    def test_closed_output_is_a_limit(self):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        err = io.StringIO()
+        code = run(["verify", "--d", "3", "--l", "1,2,2,2,4,4"], out=ClosedPipe(), err=err)
+        assert (code, err.getvalue()) == (3, "limit: [Errno 32] Broken pipe\n")
+
+    def test_reader_closing_the_pipe_is_a_limit(self):
+        # a 13-gon's 4,096 critical records print far more than a pipe holds
+        entries = ",".join(str(k) for k in range(3, 29, 2))
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        argv = [sys.executable, "-m", "polygonspaces.cli", "verify", "--d", "3", "--l", entries]
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as proc:
+            assert proc.stdout.readline().startswith(b"vector (3, 5, 7,")
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (3, b"limit: [Errno 32] Broken pipe\n")
 
 
 def _scaled(entries, scale) -> str:

@@ -207,6 +207,16 @@ class TestRingPresentation:
                     assert g & h != g  # no containment
 
 
+def _quadrics(*edges: str) -> RingPresentation:
+    """A presentation on Z1..Z7, nothing pruned, with the generator Z_i Z_j
+    for every edge "ij"."""
+    gens = sorted(mask_from_indices((int(e[0]), int(e[1]))) for e in edges)
+    return RingPresentation(7, 3, (), tuple(gens))
+
+
+HEXAGON = _quadrics("12", "23", "34", "45", "56", "61")
+
+
 class TestRingIsomorphism:
     def test_same_normal_form(self):
         assert rings_isomorphic_bruteforce(
@@ -231,6 +241,16 @@ class TestRingIsomorphism:
         )
         twin = RingPresentation(pres.n, pres.d, pres.pruned, relabelled)
         assert rings_isomorphic_bruteforce(pres, twin)
+
+    def test_search_refutes_what_the_prefilters_pass(self):
+        # six quadratic generators on Z1..Z6, every variable in two of them:
+        # only the backtracking search tells a hexagon from two triangles
+        triangles = _quadrics("12", "23", "31", "45", "56", "64")
+        assert not rings_isomorphic_bruteforce(HEXAGON, triangles)
+
+    def test_search_finds_a_relabelled_hexagon(self):
+        relabelled = _quadrics("13", "35", "52", "24", "46", "61")
+        assert rings_isomorphic_bruteforce(HEXAGON, relabelled)
 
     def test_zero_rings_isomorphic(self):
         a = ring_presentation(parse_length_vector("1,1,3"), 3)
