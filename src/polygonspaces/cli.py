@@ -344,55 +344,40 @@ def _cmd_classify_file(args: argparse.Namespace, out: TextIO, err: TextIO) -> in
 # parser and dispatch
 
 
+#: every flag a subcommand may read; its row in build_parser names which
 _FLAGS = {
+    "--l": dict(required=True, help="comma/space separated side lengths"),
+    "--l2": dict(required=True, help="second vector, as --l"),
+    "--n": dict(type=_int_flag, required=True, help="number of sides, 3..8"),
+    "--file": dict(required=True, help="one vector per line, # comments"),
     "--d": dict(type=_int_flag, required=True, help="ambient dimension, >= 3"),
     "--json": dict(action="store_true", help="machine-readable output"),
     "--seed": dict(type=_int_flag, default=0, help="PRNG seed for realization"),
 }
 
 
-def _add_flags(sub: argparse.ArgumentParser, *names: str) -> None:
-    """Add the shared flags a subcommand reads, and no others."""
-    for name in names:
-        sub.add_argument(name, **_FLAGS[name])
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="polygonspaces", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("betti", help="Z2 Betti table of one vector")
-    p.add_argument("--l", required=True, help="comma/space separated side lengths")
-    _add_flags(p, "--d", "--json")
-    p.set_defaults(handler=_cmd_betti)
-
-    p = subs.add_parser("ring", help="cohomology ring presentation")
-    p.add_argument("--l", required=True)
-    _add_flags(p, "--d", "--json")
-    p.set_defaults(handler=_cmd_ring)
-
-    p = subs.add_parser("compare", help="diffeomorphism verdict for a pair")
-    p.add_argument("--l", required=True)
-    p.add_argument("--l2", required=True)
-    _add_flags(p, "--d", "--json")
-    p.set_defaults(handler=_cmd_compare)
-
-    p = subs.add_parser("census", help="all chambers for small n")
-    p.add_argument("--n", type=_int_flag, required=True)
-    _add_flags(p, "--json")
-    p.set_defaults(handler=_cmd_census)
-
-    p = subs.add_parser("verify", help="critical data, realization, rank test")
-    p.add_argument("--l", required=True)
-    _add_flags(p, "--d", "--json", "--seed")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = subs.add_parser("classify-file", help="pairwise verdicts for a vector file")
-    p.add_argument("--file", required=True, help="one vector per line, # comments")
-    _add_flags(p, "--d", "--json")
-    p.set_defaults(handler=_cmd_classify_file)
-
+    # the rows name the handlers as they are bound at this call
+    for name, handler, flags, summary in (
+        ("betti", _cmd_betti, "--l --d --json", "Z2 Betti table of one vector"),
+        ("ring", _cmd_ring, "--l --d --json", "cohomology ring presentation"),
+        ("compare", _cmd_compare, "--l --l2 --d --json", "diffeomorphism verdict for a pair"),
+        ("census", _cmd_census, "--n --json", "all chambers for small n"),
+        ("verify", _cmd_verify, "--l --d --json --seed", "critical data, realization, rank test"),
+        (
+            "classify-file",
+            _cmd_classify_file,
+            "--file --d --json",
+            "pairwise verdicts for a vector file",
+        ),
+    ):
+        sub = subs.add_parser(name, help=summary)
+        for flag in flags.split():
+            sub.add_argument(flag, **_FLAGS[flag])
+        sub.set_defaults(handler=handler)
     return parser
 
 

@@ -57,6 +57,8 @@ def mask_from_indices(indices: Iterable[int]) -> int:
 
 
 def indices_of_mask(mask: int) -> tuple[int, ...]:
+    if mask < 0:  # a negative mask shifts right forever
+        raise ValueError(f"masks are non-negative, got {mask}")
     out = []
     i = 1
     while mask:
@@ -68,6 +70,8 @@ def indices_of_mask(mask: int) -> tuple[int, ...]:
 
 
 def complement_mask(mask: int, n: int) -> int:
+    if mask < 0 or mask >> n:
+        raise ValueError(f"mask {mask} outside subsets of 1..{n}")
     return ~mask & ((1 << n) - 1)
 
 

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -653,6 +654,37 @@ class TestClassifyFileBadLines:
         assert err == LONG_DIGITS_LIMIT
 
 
+#: the flags each subcommand reads, in the order --help lists them
+ROWS = {
+    "betti": ("--l", "--d", "--json"),
+    "ring": ("--l", "--d", "--json"),
+    "compare": ("--l", "--l2", "--d", "--json"),
+    "census": ("--n", "--json"),
+    "verify": ("--l", "--d", "--json", "--seed"),
+    "classify-file": ("--file", "--d", "--json"),
+}
+#: a valid value for every flag that takes one; {file} is a file of two vectors
+FLAG_VALUES = {
+    "--l": "1,1,1",
+    "--l2": "1,2,2",
+    "--n": "4",
+    "--file": "{file}",
+    "--d": "3",
+    "--seed": "1",
+}
+
+
+def _row_argv(command, tmp_path):
+    """A valid invocation of ``command`` with every flag of its row."""
+    file = _write(tmp_path, ["1,1,1", "1,2,2"])
+    argv = [command]
+    for flag in ROWS[command]:
+        argv.append(flag)
+        if flag in FLAG_VALUES:
+            argv.append(FLAG_VALUES[flag].format(file=file))
+    return argv, file
+
+
 class TestUsage:
     def test_no_command(self):
         code, _, err = invoke()
@@ -673,6 +705,32 @@ class TestUsage:
         ):
             assert invoke(*argv)[0] == 0
             assert invoke(*argv, "--seed", "1")[0] == 1
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for c in ROWS for f in FLAG_VALUES if f not in ROWS[c]],
+    )
+    def test_flag_outside_the_row(self, tmp_path, command, flag):
+        argv, file = _row_argv(command, tmp_path)
+        assert invoke(*argv)[0] == 0
+        code, out, err = invoke(*argv, flag, FLAG_VALUES[flag].format(file=file))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: unrecognized arguments: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("command", ROWS)
+    def test_help_lists_the_row(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_:
+            invoke(command, "--help")
+        assert exit_.value.code == 0
+        listed = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)
+        assert tuple(listed) == ROWS[command]
+
+    def test_readme_table_lists_the_rows(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `([\w-]+)` +\| (.*) \|$", readme, re.M)
+        assert {c: tuple(re.findall(r"`(--[\w-]+)`", f)) for c, f in rows} == ROWS
 
     def test_bad_vector(self):
         assert invoke("betti", "--l", "0,1,1", "--d", "3")[0] == 1

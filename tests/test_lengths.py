@@ -180,6 +180,21 @@ class TestMasks:
         assert complement_mask(complement_mask(mask, 5), 5) == mask
         assert indices_of_mask(complement_mask(mask, 5)) == (1, 4, 5)
 
+    def test_complement_of_the_ends(self):
+        assert complement_mask(0, 3) == 7
+        assert complement_mask(7, 3) == 0
+
+    @pytest.mark.parametrize("mask", [-1, -8, 8, 1 << 70])
+    def test_complement_refuses_masks_outside_the_subsets(self, mask):
+        with pytest.raises(ValueError, match=f"mask {mask} outside subsets of 1..3"):
+            complement_mask(mask, 3)
+
+    @pytest.mark.parametrize("mask", [-1, -6, -(1 << 70)])
+    def test_negative_mask_has_no_indices(self, mask):
+        # a negative mask once shifted right forever
+        with pytest.raises(ValueError, match=f"masks are non-negative, got {mask}"):
+            indices_of_mask(mask)
+
     def test_mask_key_orders_by_index_tuple(self):
         masks = [mask_from_indices(t) for t in [(2, 3), (1, 4), (1,), (1, 2, 3)]]
         assert [indices_of_mask(m) for m in sorted(masks, key=indices_of_mask)] == [
