@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -41,6 +41,12 @@ def _pack(member: np.ndarray) -> bytes:
     return np.packbits(member, bitorder="little").tobytes()
 
 
+def _masks_of(bits: int, nbytes: int) -> list[int]:
+    """The set bits of a bitmap of nbytes bytes, ascending."""
+    packed = np.frombuffer(bits.to_bytes(nbytes, "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(packed, bitorder="little")).tolist()
+
+
 @dataclass(frozen=True)
 class ChamberSignature:
     """Family of subsets J of {1..n-1} with J union {n} short, as a bitmap:
@@ -51,13 +57,13 @@ class ChamberSignature:
 
     def __post_init__(self) -> None:
         check_enumeration_width(self.n)
-        member = self.members()
-        # the round trip differs on a wrong length or a set padding bit
-        if _pack(member) != self.bitmap:
-            raise MalformedCandidate(f"not a packed bitmap of {member.size} masks")
-        gaps = member & ~_closed_below(member)
-        if gaps.any():
-            m = int(gaps.argmax())
+        size = 1 << (self.n - 1)
+        member = int.from_bytes(self.bitmap, "little")
+        if len(self.bitmap) != max(1, size // 8) or member >> size:
+            raise MalformedCandidate(f"not a packed bitmap of {size} masks")
+        gaps = member ^ (member & _closed_below(member, self.n - 1))
+        if gaps:
+            m = (gaps & -gaps).bit_length() - 1
             raise MalformedCandidate(
                 f"family not downward closed: {indices_of_mask(m)} is a "
                 f"member but {indices_of_mask(_missing_predecessor(m, member))} "
@@ -91,14 +97,13 @@ class ChamberSignature:
     @cached_property
     def walls(self) -> tuple[int, ...]:
         """The masks whose flip keeps the family closed: the maximal members,
-        then the minimal non-members, each ascending.  Complementing a mask
-        reverses the order, so the maximal members are the complements of
-        the minimal members of the reversed complement."""
-        member = self.members()
-        full = member.size - 1
-        minimal = np.flatnonzero(~member & _closed_below(member))
-        maximal = full - np.flatnonzero(member[::-1] & _closed_below(~member[::-1]))
-        return tuple(maximal[::-1].tolist() + minimal.tolist())
+        then the minimal non-members, each ascending."""
+        member = int.from_bytes(self.bitmap, "little")
+        maximal = member ^ (member & _below_a_member(member, self.n - 1))
+        closed = _closed_below(member, self.n - 1)
+        minimal = closed ^ (closed & member)
+        nbytes = len(self.bitmap)
+        return tuple(_masks_of(maximal, nbytes) + _masks_of(minimal, nbytes))
 
     @cached_property
     def short_counts(self) -> tuple[int, ...]:
@@ -155,29 +160,55 @@ def _compare_families(a: ChamberSignature, b: ChamberSignature) -> ChamberCompar
 # realization and census
 
 
-def _closed_below(member: np.ndarray) -> np.ndarray:
-    """True at m when every immediate predecessor of m is a member.
+def _index_masks(width: int) -> Iterator[tuple[int, int, int]]:
+    """(i, here, above) for i = width-1 down to 0, where here and above are
+    the bitmaps of the masks holding index bit i and index bit i+1.  Each
+    next here is the last XOR the last shifted down by 2^(i-1): that sets
+    bit m exactly when adding 2^(i-1) to m carries into bit i, that is,
+    when m holds bit i-1."""
+    size = 1 << width
+    above, here = 0, ((1 << size) - 1) ^ ((1 << (size >> 1)) - 1)
+    for i in range(width - 1, -1, -1):
+        yield i, here, above
+        above, here = here, here ^ (here >> (1 << i >> 1))
+
+
+def _closed_below(member: int, width: int) -> int:
+    """Bit m set when every immediate predecessor of m is a member, for a
+    bitmap over the masks of a width-element set.
 
     The immediate predecessors delete one index, or slide one index down
     into a free slot just below it; they generate the dominance order.
+    Both moves at index bit i land on m - 2^i: deleting bit i, or sliding
+    bit i+1 down to a free bit i.
     """
-    ok = np.ones_like(member)
-    width = member.size.bit_length() - 1
-    for i in range(width):
-        halves, quarters = (-1, 2, 1 << i), (-1, 2, 2, 1 << i)
-        # deleting index i+1 needs the lower of each pair of halves; sliding
-        # index i+2 down to i+1 needs quarter (0, 1) under quarter (1, 0)
-        ok.reshape(halves)[:, 1] &= member.reshape(halves)[:, 0]
-        if i + 1 < width:
-            ok.reshape(quarters)[:, 1, 0] &= member.reshape(quarters)[:, 0, 1]
-    return ok
+    gaps = 0
+    for i, here, above in _index_masks(width):
+        moved = here | above
+        gaps |= moved ^ (moved & (member << (1 << i)))
+    return ((1 << (1 << width)) - 1) ^ gaps
 
 
-def _missing_predecessor(m: int, member: np.ndarray) -> int:
+def _below_a_member(member: int, width: int) -> int:
+    """Bit m set when some immediate successor of m is a member.
+
+    The immediate successors add one index, or slide one index up into a
+    free slot just above it.  Both moves at index bit i land on m + 2^i:
+    adding a free bit i, or sliding bit i up to a free bit i+1; an m
+    holding both bits has no such successor.
+    """
+    found = 0
+    for i, here, above in _index_masks(width):
+        shifted = member >> (1 << i)
+        found |= shifted ^ (shifted & here & above)
+    return found
+
+
+def _missing_predecessor(m: int, member: int) -> int:
     """First absent immediate predecessor of m, indices scanned upward."""
     bits = [1 << i for i in range(m.bit_length()) if m >> i & 1]
     # m ^ b | b >> 1 is the slide, or the deletion again when there is none
-    return next(p for b in bits for p in (m ^ b, m ^ b | b >> 1) if not member[p])
+    return next(p for b in bits for p in (m ^ b, m ^ b | b >> 1) if not member >> p & 1)
 
 
 def realize_signature(candidate: ChamberSignature) -> LengthVector | None:
@@ -192,7 +223,7 @@ def realize_signature(candidate: ChamberSignature) -> LengthVector | None:
     """
     n = candidate.n
     width = n - 1
-    member = candidate.members()
+    member = int.from_bytes(candidate.bitmap, "little")
     zeros = [0] * (n + 1)
 
     cons = [exactlp.constraint([1] * n + [0], exactlp.EQUAL, 2)]
@@ -209,7 +240,7 @@ def realize_signature(candidate: ChamberSignature) -> LengthVector | None:
         return [m >> i & 1 for i in range(width)] + [1, slack]
 
     for m in candidate.walls:
-        if member[m]:
+        if member >> m & 1:
             cons.append(exactlp.constraint(row_of(m, 1), exactlp.LESS_EQUAL, 1))
         else:
             cons.append(exactlp.constraint(row_of(m, -1), exactlp.GREATER_EQUAL, 1))
@@ -276,11 +307,9 @@ def enumerate_chambers(n: int) -> CensusResult:
     seen: dict[bytes, LengthVector | None] = {start.bitmap: rep}
     found = [(start, rep)]
     for chamber, _ in found:  # the list grows while it is walked
-        member = chamber.members()
+        member = int.from_bytes(chamber.bitmap, "little")
         for m in chamber.walls:
-            member[m] ^= True
-            bitmap = _pack(member)
-            member[m] ^= True
+            bitmap = (member ^ 1 << m).to_bytes(len(chamber.bitmap), "little")
             if bitmap not in seen:
                 cand = ChamberSignature(n, bitmap)
                 seen[bitmap] = rep = realize_signature(cand)

@@ -357,7 +357,8 @@ _FLAGS = {
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="polygonspaces", description=__doc__)
+    # a flag must be spelled in full: argparse would read a prefix as the flag
+    parser = _Parser(prog="polygonspaces", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
     # the rows name the handlers as they are bound at this call
@@ -374,7 +375,7 @@ def build_parser() -> _Parser:
             "pairwise verdicts for a vector file",
         ),
     ):
-        sub = subs.add_parser(name, help=summary)
+        sub = subs.add_parser(name, help=summary, allow_abbrev=False)
         for flag in flags.split():
             sub.add_argument(flag, **_FLAGS[flag])
         sub.set_defaults(handler=handler)

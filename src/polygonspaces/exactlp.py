@@ -28,10 +28,26 @@ part in later pivots.  Feasibility, infeasibility and optimality are thus
 certified exactly without a single gcd inside the pivot loop.  Bland's
 rule guarantees termination.  Intended for the small strict-feasibility
 systems of the chamber module, not for large programs.
+
+Each row is packed into one Python int of signed w-bit fields, the row's
+value being sum(v_k << k*w): field 0 is the right-hand side and field
+j + 1 is column j.  The reduced costs d*c - sum(c_b * row_b) are one more
+such row, carried through the pivots like the others, so pricing is one
+addition and one mask: a field is positive exactly when its top bit is set
+after adding 2^(w-1) - 1 to every field, and Bland's column is the lowest
+such bit.  The width comes from Hadamard's bound on the starting rows,
+the right-hand side included, stacked on one cost row (the larger of the
+two phases'): every entry of every tableau and reduced-cost row is +- a
+minor of that matrix, so |v| < 2^(w-1) holds throughout for any integer
+input.  Then the fields below field k sum to less than
+2^(k*w-1) in absolute value, and rounding the row at bit k*w reads field
+k exactly.  A pivot is (p*R - f*P) // d on whole rows: every field of
+p*R - f*P is a multiple of d, so the packed quotient is exact too.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,61 +83,71 @@ class LPResult:
     solution: tuple[Fraction, ...] | None = None
 
 
-def _pivot(rows: list[list[int]], d: int, r: int, c: int) -> int:
-    """Pivot the tableau rows/d on entry (r, c); return the new denominator.
+def _pack(values: Sequence[int], w: int) -> int:
+    """The row whose field k is values[k]."""
+    return sum(v << k * w for k, v in enumerate(values))
 
-    Row r stays as it is over the new denominator p = rows[r][c]; every
-    other row becomes (p*row - row[c]*rows[r]) / d.  The division is exact
-    by Sylvester's identity.  A negative p negates the tableau, so the
-    denominator stays positive.
+
+def _field(row: int, k: int, w: int) -> int:
+    """Field k of a packed row: round off the fields below it, then read
+    the low w bits as a signed value."""
+    half = 1 << (w - 1)
+    if k:
+        row = ((row >> (k * w - 1)) + 1) >> 1
+    return ((row + half) & ((half << 1) - 1)) - half
+
+
+def _pivot(rows: list[int], d: int, r: int, col: list[int]) -> int:
+    """Pivot the packed rows/d on row r, where col holds every row's entry
+    in the entering column; return the new denominator.
+
+    Row r stays as it is over the new denominator p = col[r]; every other
+    row R becomes (p*R - f*rows[r]) / d for its entry f.  The division is
+    exact by Sylvester's identity.  A negative p negates the tableau, so
+    the denominator stays positive.
     """
     prow = rows[r]
-    p = prow[c]
-    for i, row in enumerate(rows):
-        if i == r:
-            continue
-        f = row[c]
-        if f:
-            rows[i] = [(p * v - f * w) // d for v, w in zip(row, prow)]
-        elif p != d:
-            rows[i] = [p * v // d for v in row]
+    p = col[r]
+    for i, f in enumerate(col):
+        if i != r and (f or p != d):
+            rows[i] = (p * rows[i] - f * prow) // d
     if p < 0:
-        rows[:] = [[-v for v in row] for row in rows]
+        rows[:] = [-row for row in rows]
         p = -p
     return p
 
 
-def _simplex(
-    rows: list[list[int]], basis: list[int], d: int, cost: list[int]
-) -> tuple[str, int]:
-    """Maximize cost.x on the canonical tableau rows/d, whose columns are
-    those of cost and then the right-hand side; Bland's rule throughout.
+def _simplex(rows: list[int], basis: list[int], d: int, w: int, ncols: int) -> tuple[str, int]:
+    """Maximize on the canonical packed tableau rows/d of ncols columns,
+    whose last row holds the reduced costs; Bland's rule throughout.
     Returns the status and the final denominator."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    ones = ((1 << (ncols + 1) * w) - 1) // mask  # a 1 in every field
+    bias = (half - 1) * ones
+    signs = half * ones ^ half  # the top bit of every field but the rhs
     while True:
-        priced = [(cost[b], row) for b, row in zip(basis, rows) if cost[b]]
-        entering = next(
-            (j for j in range(len(cost)) if d * cost[j] > sum(y * row[j] for y, row in priced)),
-            -1,
-        )
-        if entering < 0:
+        positive = (rows[-1] + bias) & signs
+        if not positive:
             return OPTIMAL, d
+        k = ((positive & -positive).bit_length() - 1) // w
+        shift = k * w - 1  # _field(row, k, w), inlined
+        col = [((((row >> shift) + 1) >> 1) + half & mask) - half for row in rows]
         # least ratio rhs/a over a > 0, compared by cross-multiplying;
         # ties go to the smallest basic index
         leaving = -1
-        for i, row in enumerate(rows):
-            a = row[entering]
+        for i, a in enumerate(col[:-1]):
             if a > 0:
+                rhs = _field(rows[i], 0, w)
                 if leaving < 0:
-                    leaving = i
+                    leaving, least_rhs, least_a = i, rhs, a
                     continue
-                lhs = row[-1] * rows[leaving][entering]
-                rhs = rows[leaving][-1] * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
-                    leaving = i
+                lhs, bound = rhs * least_a, least_rhs * a
+                if lhs < bound or (lhs == bound and basis[i] < basis[leaving]):
+                    leaving, least_rhs, least_a = i, rhs, a
         if leaving < 0:
             return UNBOUNDED, d
-        d = _pivot(rows, d, leaving, entering)
-        basis[leaving] = entering
+        d = _pivot(rows, d, leaving, col)
+        basis[leaving] = k - 1
 
 
 def maximize(objective: Sequence[int], constraints: Sequence[Constraint]) -> LPResult:
@@ -139,38 +165,57 @@ def maximize(objective: Sequence[int], constraints: Sequence[Constraint]) -> LPR
     slacks = [i for i, (_, sign, _) in enumerate(rows) if sign]
     arts = [i for i, (_, sign, _) in enumerate(rows) if sign != 1]
     art_start = nvars + len(slacks)
-    tableau = [coeffs + [0] * (len(slacks) + len(arts)) + [rhs] for coeffs, _, rhs in rows]
+    ncols = art_start + len(arts)
+    # Hadamard: a minor is at most the root of the product of the squared
+    # norms of its matrix's rows, so |v| < 2^(w-1) for every field v
+    squares = max(1, len(arts), sum(c * c for c in obj))
+    for coeffs, sign, rhs in rows:  # every row has a slack or an artificial
+        squares *= rhs * rhs + sum(c * c for c in coeffs) + (sign != 0) + (sign != 1)
+    w = (squares.bit_length() + 1) // 2 + 1
+
+    tableau = [_pack([rhs] + coeffs, w) for coeffs, _, rhs in rows]
     basis = [0] * len(rows)
     for j, i in enumerate(slacks, nvars):
-        tableau[i][j] = rows[i][1]
+        tableau[i] += rows[i][1] << (j + 1) * w
         basis[i] = j
     for j, i in enumerate(arts, art_start):  # a >= row's artificial replaces its slack
-        tableau[i][j] = 1
+        tableau[i] += 1 << (j + 1) * w
         basis[i] = j
 
-    phase1 = [0] * art_start + [-1] * len(arts)
-    _, d = _simplex(tableau, basis, 1, phase1)
-    if any(row[-1] > 0 for row, b in zip(tableau, basis) if b >= art_start):
+    # phase 1 cost: -1 on each artificial, so d*c - sum(c_b row_b) with d = 1
+    cost = sum(1 << (j + 1) * w for j in range(art_start, ncols))
+    tableau.append(sum(tableau[i] for i in arts) - cost)
+    _, d = _simplex(tableau, basis, 1, w, ncols)
+    tableau.pop()
+    if any(_field(row, 0, w) > 0 for row, b in zip(tableau, basis) if b >= art_start):
         return LPResult(INFEASIBLE)
     # pivot lingering degenerate artificials out, dropping redundant rows
     for i in range(len(tableau) - 1, -1, -1):
         if basis[i] >= art_start:
-            col = next((j for j in range(art_start) if tableau[i][j] != 0), None)
-            if col is None:
+            # the lowest nonzero field past the rhs holds the lowest set bit
+            rest = tableau[i] - _field(tableau[i], 0, w)
+            k = ((rest & -rest).bit_length() - 1) // w
+            if not 0 < k <= art_start:
                 del tableau[i]
                 del basis[i]
             else:
-                d = _pivot(tableau, d, i, col)
-                basis[i] = col
-    tableau = [row[:art_start] + row[-1:] for row in tableau]
+                d = _pivot(tableau, d, i, [_field(row, k, w) for row in tableau])
+                basis[i] = k - 1
+    # keep fields 0..art_start: the signed value of the low bits
+    top = 1 << ((art_start + 1) * w - 1)
+    tableau = [((row + top) & ((top << 1) - 1)) - top for row in tableau]
 
+    # phase 2 cost: the objective, so d*c - sum(c_b row_b)
     cost = obj + [0] * (art_start - nvars)
-    status, d = _simplex(tableau, basis, d, cost)
+    priced = sum(cost[b] * row for b, row in zip(basis, tableau))
+    tableau.append(d * _pack([0] + cost, w) - priced)
+    status, d = _simplex(tableau, basis, d, w, art_start)
+    tableau.pop()
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)
     x = [Fraction(0)] * nvars
     for row, b in zip(tableau, basis):
         if b < nvars:
-            x[b] = Fraction(row[-1], d)
+            x[b] = Fraction(_field(row, 0, w), d)
     value = sum(c * v for c, v in zip(obj, x))
     return LPResult(OPTIMAL, value, tuple(x))

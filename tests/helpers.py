@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Sequence
 
+import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
@@ -95,6 +96,36 @@ def oracle_downward_closed(n, family):
             if i > 1 and i - 1 not in s and (s - {i}) | {i - 1} not in sets:
                 return False
     return True
+
+
+def oracle_closed_below(member: np.ndarray) -> np.ndarray:
+    """The boolean-array closure check that chambers._closed_below replaced:
+    True at m when every immediate predecessor of m is a member.
+
+    The immediate predecessors delete one index, or slide one index down
+    into a free slot just below it; they generate the dominance order.
+    """
+    ok = np.ones_like(member)
+    width = member.size.bit_length() - 1
+    for i in range(width):
+        halves, quarters = (-1, 2, 1 << i), (-1, 2, 2, 1 << i)
+        # deleting index i+1 needs the lower of each pair of halves; sliding
+        # index i+2 down to i+1 needs quarter (0, 1) under quarter (1, 0)
+        ok.reshape(halves)[:, 1] &= member.reshape(halves)[:, 0]
+        if i + 1 < width:
+            ok.reshape(quarters)[:, 1, 0] &= member.reshape(quarters)[:, 0, 1]
+    return ok
+
+
+def oracle_walls(member: np.ndarray) -> tuple[int, ...]:
+    """The walls of a closed family as they were computed on boolean arrays:
+    the minimal non-members, and the maximal members as the complements of
+    the minimal members of the reversed complement (complementing a mask
+    reverses the order), each ascending."""
+    full = member.size - 1
+    minimal = np.flatnonzero(~member & oracle_closed_below(member))
+    maximal = full - np.flatnonzero(member[::-1] & oracle_closed_below(~member[::-1]))
+    return tuple(maximal[::-1].tolist() + minimal.tolist())
 
 
 def downward_closure(n, masks):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +12,10 @@ from helpers import (
     brute_force_signatures,
     downward_closure,
     length_vectors,
+    oracle_closed_below,
     oracle_downward_closed,
     oracle_top_excess,
+    oracle_walls,
 )
 from polygonspaces import chambers, exactlp
 from polygonspaces import (
@@ -35,6 +38,7 @@ from polygonspaces.errors import (
     OutOfRange,
     TooFewEntries,
 )
+from polygonspaces.lengths import subset_sizes
 
 
 class TestSignature:
@@ -271,6 +275,16 @@ class TestCensus:
     def test_matches_brute_force(self, n):
         assert brute_force_signatures(n, 8) == enumerate_chambers(n).signatures()
 
+    # LP-free: every sorted generic integer vector with bounded entries
+    # (3,003 of them at n = 6, 116,280 at n = 7) lands in a census chamber,
+    # and every census chamber is hit
+    def test_lp_free_oracle_n6(self):
+        assert brute_force_signatures(6, 9) == enumerate_chambers(6).signatures()
+
+    @pytest.mark.slow
+    def test_lp_free_oracle_n7(self):
+        assert brute_force_signatures(7, 15) == enumerate_chambers(7).signatures()
+
     def test_sampling_is_subset_at_small_bound(self):
         assert brute_force_signatures(5, 4) <= enumerate_chambers(5).signatures()
 
@@ -290,15 +304,19 @@ class TestCensus:
 
     def test_walls_found_once_per_candidate(self, monkeypatch):
         # n = 7 runs 161 LPs, 135 of them feasible: each candidate costs one
-        # closure check and two wall scans, each feasible round trip one
-        # more check; a chamber taken from the walk flips its cached walls
-        calls = []
-        closed_below = chambers._closed_below
+        # closure check, and its walls one more and one successor pass; each
+        # feasible round trip costs one more check; a chamber taken from the
+        # walk flips its cached walls
+        checks, passes = [], []
+        closed_below, below_a_member = chambers._closed_below, chambers._below_a_member
         monkeypatch.setattr(
-            chambers, "_closed_below", lambda member: calls.append(1) or closed_below(member)
+            chambers, "_closed_below", lambda *a: checks.append(1) or closed_below(*a)
+        )
+        monkeypatch.setattr(
+            chambers, "_below_a_member", lambda *a: passes.append(1) or below_a_member(*a)
         )
         assert enumerate_chambers(7).count == 135
-        assert len(calls) == 3 * 161 + 135
+        assert (len(checks), len(passes)) == (2 * 161 + 135, 161)
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_walk_is_breadth_first(self, monkeypatch, n):
@@ -363,6 +381,63 @@ class TestClosureProperty:
         flips = [m for m in range(1 << (n - 1)) if oracle_downward_closed(n, fam ^ {m})]
         expected = [m for m in flips if m in fam] + [m for m in flips if m not in fam]
         assert ChamberSignature.from_masks(n, fam).walls == tuple(expected)
+
+
+def _as_array(bits: int, width: int) -> np.ndarray:
+    nbytes = max(1, (1 << width) // 8)
+    packed = np.frombuffer(bits.to_bytes(nbytes, "little"), np.uint8)
+    return np.unpackbits(packed, count=1 << width, bitorder="little").view(bool)
+
+
+def _check_against_oracle(member: np.ndarray) -> None:
+    """The packed closure check and successor pass agree with the boolean
+    oracle on any family, and the walls on a closed one."""
+    width = member.size.bit_length() - 1
+    bitmap = np.packbits(member, bitorder="little").tobytes()
+    bits = int.from_bytes(bitmap, "little")
+    closed = oracle_closed_below(member)
+    # the successors of m are the complements of the predecessors of its
+    # complement, so read the oracle on the reversed complement
+    below = ~oracle_closed_below(~member[::-1])[::-1]
+    assert np.array_equal(_as_array(chambers._closed_below(bits, width), width), closed)
+    assert np.array_equal(_as_array(chambers._below_a_member(bits, width), width), below)
+    if width >= 2 and not (member & ~closed).any():
+        assert ChamberSignature(width + 1, bitmap).walls == oracle_walls(member)
+
+
+@st.composite
+def bool_families(draw):
+    """A width 1..10 and a family over its masks: random bits, or the
+    closure of a few masks with a few masks flipped."""
+    width = draw(st.integers(1, 10))
+    size = 1 << width
+    if draw(st.booleans()):
+        bits = draw(st.integers(0, (1 << size) - 1))
+    else:
+        fam = downward_closure(width + 1, draw(st.lists(st.integers(0, size - 1), max_size=4)))
+        bits = sum(1 << m for m in fam)
+        for m in draw(st.lists(st.integers(0, size - 1), max_size=2)):
+            bits ^= 1 << m
+    return _as_array(bits, width)
+
+
+class TestClosureOracle:
+    @given(bool_families())
+    @settings(max_examples=300)
+    def test_small_widths(self, member):
+        _check_against_oracle(member)
+
+    @pytest.mark.parametrize("width", [20, 21, 22, 23])
+    def test_wide_families(self, width):
+        # a closed family (sets of at most width/2 elements) with a few
+        # members flipped, and a dense random family
+        rng = np.random.default_rng(width)
+        closed = subset_sizes(width) <= width // 2
+        _check_against_oracle(closed)
+        flipped = closed.copy()
+        flipped[rng.integers(0, closed.size, 40)] ^= True
+        _check_against_oracle(flipped)
+        _check_against_oracle(rng.random(closed.size) < 0.9)
 
 
 class TestEquivalenceProperties:

@@ -719,6 +719,22 @@ class TestUsage:
         assert err.startswith("usage error: unrecognized arguments: ")
         assert err.count("\n") == 1 and err.endswith("\n")
 
+    def test_flags_spelled_in_full(self, tmp_path):
+        # argparse would read a prefix of a flag in the row as that flag
+        file = _write(tmp_path, ["1,1,1", "1,2,2"])
+        for argv in (
+            ("betti", "--l", "1,1,1", "--d", "3", "--js"),
+            ("census", "--n", "3", "--js"),
+            ("verify", "--l", "1,1,1", "--d", "3", "--se", "1"),
+            ("classify-file", "--fi", str(file), "--d", "3"),
+            ("--vers",),
+        ):
+            code, out, err = invoke(*argv)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("usage error: ")
+            assert err.count("\n") == 1 and err.endswith("\n")
+
     @pytest.mark.parametrize("command", ROWS)
     def test_help_lists_the_row(self, capsys, command):
         with pytest.raises(SystemExit) as exit_:

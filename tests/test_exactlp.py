@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 from helpers import oracle_maximize
+from polygonspaces import exactlp
 from polygonspaces.exactlp import (
     EQUAL,
     GREATER_EQUAL,
@@ -270,3 +271,36 @@ def test_rows_are_integers(bad):
         constraint([1, 1], LESS_EQUAL, bad)
     with pytest.raises(TypeError):
         maximize([1, bad], [constraint([1, 1], LESS_EQUAL, 1)])
+
+
+@pytest.mark.parametrize("w", [3, 4, 8, 31, 61, 64, 200])
+def test_packed_fields_round_trip(w):
+    # the widest fields the Hadamard width admits, next to negative
+    # neighbours, so every field below borrows from the one above
+    top = (1 << (w - 1)) - 1
+    values = [top - 1, -1, -(top - 1), top, -top, -1, 0, top - 1, -1, 1, -(top - 1)]
+    row = exactlp._pack(values, w)
+    assert [exactlp._field(row, k, w) for k in range(len(values))] == values
+    assert [exactlp._field(-row, k, w) for k in range(len(values))] == [-v for v in values]
+
+
+@pytest.mark.parametrize("scale", [2**61 - 1, 10**30])
+def test_scaled_rows_match_oracle(scale):
+    # rows scaled up by a large factor of either sign, the relation flipped
+    # with the sign, describe the same program; the field width grows with
+    # the entries, and both the oracle and the unscaled program agree
+    flipped = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}
+    rng = random.Random(scale % 1009)
+    for _ in range(150):
+        objective, constraints = _random_lp(rng)
+        scaled = []
+        for con in constraints:
+            k = rng.choice([1, scale, -scale])
+            rel = flipped[con.relation] if k < 0 else con.relation
+            scaled.append(constraint([k * c for c in con.coeffs], rel, k * con.rhs))
+        if rng.random() < 0.3:
+            objective = [scale * c for c in objective]
+        res = maximize(objective, scaled)
+        assert res == oracle_maximize(objective, scaled)
+        plain = maximize(objective, constraints)
+        assert (res.status, res.objective) == (plain.status, plain.objective)
