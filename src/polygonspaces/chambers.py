@@ -33,33 +33,36 @@ from .lengths import (
     top_excess,
 )
 
-CENSUS_MIN_N = 3
 CENSUS_MAX_N = 8
 
 
-def _pack(member: np.ndarray) -> bytes:
-    return np.packbits(member, bitorder="little").tobytes()
+def _pack(member: np.ndarray) -> int:
+    """The bitmap whose bit m is member[m]."""
+    return int.from_bytes(np.packbits(member, bitorder="little").tobytes(), "little")
 
 
-def _masks_of(bits: int, nbytes: int) -> list[int]:
-    """The set bits of a bitmap of nbytes bytes, ascending."""
-    packed = np.frombuffer(bits.to_bytes(nbytes, "little"), np.uint8)
-    return np.flatnonzero(np.unpackbits(packed, bitorder="little")).tolist()
+def _unpack(bits: int, width: int) -> np.ndarray:
+    """Boolean array over the masks of a width-element set: True on the set
+    bits of the bitmap."""
+    size = 1 << width
+    packed = np.frombuffer(bits.to_bytes(max(1, size // 8), "little"), np.uint8)
+    return np.unpackbits(packed, count=size, bitorder="little").view(bool)
 
 
 @dataclass(frozen=True)
 class ChamberSignature:
-    """Family of subsets J of {1..n-1} with J union {n} short, as a bitmap:
-    bit m, in little-endian bit order, is set when the mask m is a member."""
+    """Family of subsets J of {1..n-1} with J union {n} short, as one int
+    bitmap: bit m is set when the mask m is a member, so the bitmap is a
+    non-negative int below 2^(2^(n-1))."""
 
     n: int
-    bitmap: bytes
+    bitmap: int
 
     def __post_init__(self) -> None:
         check_enumeration_width(self.n)
         size = 1 << (self.n - 1)
-        member = int.from_bytes(self.bitmap, "little")
-        if len(self.bitmap) != max(1, size // 8) or member >> size:
+        member = self.bitmap
+        if type(member) is not int or member < 0 or member >> size:
             raise MalformedCandidate(f"not a packed bitmap of {size} masks")
         gaps = member ^ (member & _closed_below(member, self.n - 1))
         if gaps:
@@ -81,39 +84,34 @@ class ChamberSignature:
             member[m] = True
         return cls(n, _pack(member))
 
-    def members(self) -> np.ndarray:
-        """Boolean array over the masks of 1..n-1: True on the members."""
-        bits = np.frombuffer(self.bitmap, np.uint8)
-        return np.unpackbits(bits, count=1 << (self.n - 1), bitorder="little").view(bool)
-
     def masks(self) -> list[int]:
         """The members, ascending."""
-        return np.flatnonzero(self.members()).tolist()
+        return np.flatnonzero(_unpack(self.bitmap, self.n - 1)).tolist()
 
     @property
     def is_empty_space(self) -> bool:
-        return not any(self.bitmap)
+        return not self.bitmap
 
     @cached_property
     def walls(self) -> tuple[int, ...]:
         """The masks whose flip keeps the family closed: the maximal members,
         then the minimal non-members, each ascending."""
-        member = int.from_bytes(self.bitmap, "little")
-        maximal = member ^ (member & _below_a_member(member, self.n - 1))
-        closed = _closed_below(member, self.n - 1)
+        member, width = self.bitmap, self.n - 1
+        maximal = member ^ (member & _below_a_member(member, width))
+        closed = _closed_below(member, width)
         minimal = closed ^ (closed & member)
-        nbytes = len(self.bitmap)
-        return tuple(_masks_of(maximal, nbytes) + _masks_of(minimal, nbytes))
+        found = [np.flatnonzero(_unpack(bits, width)) for bits in (maximal, minimal)]
+        return tuple(np.concatenate(found).tolist())
 
     @cached_property
     def short_counts(self) -> tuple[int, ...]:
         """a_k for k = 0..n-1: the number of members with k elements."""
-        sizes = subset_sizes(self.n - 1)[self.members()]
+        sizes = subset_sizes(self.n - 1)[_unpack(self.bitmap, self.n - 1)]
         return tuple(np.bincount(sizes, minlength=self.n).tolist())
 
     def family_indices(self) -> list[list[int]]:
         """The members as index lists, in index-tuple order."""
-        masks = np.flatnonzero(self.members())
+        masks = np.flatnonzero(_unpack(self.bitmap, self.n - 1))
         ordered = masks[subset_rank(self.n - 1)[masks].argsort()]
         return [list(indices_of_mask(m)) for m in ordered.tolist()]
 
@@ -151,8 +149,11 @@ def _compare_families(a: ChamberSignature, b: ChamberSignature) -> ChamberCompar
     n is adjoined."""
     if a == b:
         return ChamberComparison(True, None)
-    differ = np.flatnonzero(a.members() ^ b.members())
-    smallest = int(differ[subset_rank(a.n - 1)[differ].argmin()])
+    # the rank table before the unpacked difference: in the other order
+    # compare on two 21-gons peaks at 49 MB of RSS instead of 45 MB
+    rank = subset_rank(a.n - 1)
+    differ = np.flatnonzero(_unpack(a.bitmap ^ b.bitmap, a.n - 1))
+    smallest = int(differ[rank[differ].argmin()])
     return ChamberComparison(False, smallest | 1 << (a.n - 1))
 
 
@@ -223,7 +224,6 @@ def realize_signature(candidate: ChamberSignature) -> LengthVector | None:
     """
     n = candidate.n
     width = n - 1
-    member = int.from_bytes(candidate.bitmap, "little")
     zeros = [0] * (n + 1)
 
     cons = [exactlp.constraint([1] * n + [0], exactlp.EQUAL, 2)]
@@ -240,7 +240,7 @@ def realize_signature(candidate: ChamberSignature) -> LengthVector | None:
         return [m >> i & 1 for i in range(width)] + [1, slack]
 
     for m in candidate.walls:
-        if member >> m & 1:
+        if candidate.bitmap >> m & 1:
             cons.append(exactlp.constraint(row_of(m, 1), exactlp.LESS_EQUAL, 1))
         else:
             cons.append(exactlp.constraint(row_of(m, -1), exactlp.GREATER_EQUAL, 1))
@@ -294,22 +294,19 @@ def enumerate_chambers(n: int) -> CensusResult:
     graph restricted to realizable families is connected and the walk is
     exhaustive.
     """
-    if not CENSUS_MIN_N <= n <= CENSUS_MAX_N:
-        raise OutOfRange(
-            f"census supports {CENSUS_MIN_N} <= n <= {CENSUS_MAX_N}, got {n}"
-        )
-    start = ChamberSignature.from_masks(n, ())
+    if n > CENSUS_MAX_N:
+        raise OutOfRange(f"census supports 3 <= n <= {CENSUS_MAX_N}, got {n}")
+    start = ChamberSignature(n, 0)  # TooFewEntries below three sides
     rep = realize_signature(start)
     if rep is None:
         raise CertificateFailure("the LP found no vector with an empty polygon space")
     # keyed by bitmap, None when the LP is infeasible: a candidate seen
     # before is skipped before its signature is built and validated
-    seen: dict[bytes, LengthVector | None] = {start.bitmap: rep}
+    seen: dict[int, LengthVector | None] = {0: rep}
     found = [(start, rep)]
     for chamber, _ in found:  # the list grows while it is walked
-        member = int.from_bytes(chamber.bitmap, "little")
         for m in chamber.walls:
-            bitmap = (member ^ 1 << m).to_bytes(len(chamber.bitmap), "little")
+            bitmap = chamber.bitmap ^ 1 << m
             if bitmap not in seen:
                 cand = ChamberSignature(n, bitmap)
                 seen[bitmap] = rep = realize_signature(cand)

@@ -13,6 +13,7 @@ gives its inertia exactly, in O(n) integer operations and without floats.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -311,9 +312,13 @@ def jacobian_rank(lv: LengthVector, config: PolygonConfiguration) -> int:
 def complement_poincare_polynomial(lv: LengthVector, d: int) -> list[int]:
     """Poincare polynomial of the off-zero region: each critical record
     contributes t^index (1 + t^dim), that is t^{(d-1)(n-|J|)} (1 + t^{d-1})
-    for its long side J."""
+    for its long side J.  A degree (d-1)n past Python's largest list
+    raises OutOfRange before any critical record is built."""
     require_dimension(d)
-    coeffs = [0] * ((d - 1) * lv.n + 1)
+    terms = (d - 1) * lv.n + 1
+    if terms > sys.maxsize:
+        raise OutOfRange("the polynomial of degree (d-1)n exceeds Python's largest list")
+    coeffs = [0] * terms
     for r in critical_data(lv, d):
         coeffs[r.index] += 1
         coeffs[r.index + r.dim] += 1

@@ -120,23 +120,28 @@ class TestFormat:
                 break
         sig = chamber_signature(lv)
         assert ChamberSignature.from_masks(n, sig.masks()) == sig
-        assert len(sig.bitmap) == max(1, 2 ** (n - 1) // 8)
+        assert sig.bitmap >> 2 ** (n - 1) == 0
 
-    @pytest.mark.parametrize("n, bitmap", [(3, b""), (4, b"\x01\x00"), (6, b"\x01")])
-    def test_wrong_length(self, n, bitmap):
+    @pytest.mark.parametrize(
+        "n, bitmap",
+        [(3, b""), (4, b"\x01\x00"), (6, b"\x01"), (3, "1"), (3, 1.0), (3, -1), (3, True)],
+    )
+    def test_not_an_int_bitmap(self, n, bitmap):
+        # the bitmap is a non-negative int: bytes, text, floats, negative
+        # ints and bools are refused
         with pytest.raises(MalformedCandidate, match="not a packed bitmap"):
             ChamberSignature(n, bitmap)
 
     def test_padding_bit(self):
-        # n = 3 has four masks, so the high half of the one byte is padding
-        assert ChamberSignature(3, b"\x0f").masks() == [0, 1, 2, 3]
+        # n = 3 has four masks, so bit 4 and above are past the family
+        assert ChamberSignature(3, 0b1111).masks() == [0, 1, 2, 3]
         with pytest.raises(MalformedCandidate, match="not a packed bitmap of 4 masks"):
-            ChamberSignature(3, b"\x1f")
+            ChamberSignature(3, 0b11111)
 
     @pytest.mark.parametrize("n", [-1, 0, 1, 2])
     def test_too_few_sides(self, n):
         with pytest.raises(TooFewEntries):
-            ChamberSignature(n, b"")
+            ChamberSignature(n, 0)
         with pytest.raises(TooFewEntries):
             ChamberSignature.from_masks(n, ())
 
@@ -144,7 +149,7 @@ class TestFormat:
     def test_past_the_scan_cap(self, n):
         # refused on n alone, before a bitmap of that width is built
         with pytest.raises(OutOfRange, match="subset-enumeration cap"):
-            ChamberSignature(n, b"")
+            ChamberSignature(n, 0)
         with pytest.raises(OutOfRange, match="subset-enumeration cap"):
             ChamberSignature.from_masks(n, ())
 
@@ -297,9 +302,12 @@ class TestCensus:
     def test_deterministic(self):
         assert enumerate_chambers(4).to_json_obj() == enumerate_chambers(4).to_json_obj()
 
-    @pytest.mark.parametrize("n", [2, 9])
-    def test_out_of_range(self, n):
-        with pytest.raises(OutOfRange):
+    @pytest.mark.parametrize(
+        "n, error", [pytest.param(2, TooFewEntries, id="2"), pytest.param(9, OutOfRange, id="9")]
+    )
+    def test_out_of_range(self, n, error):
+        # below three sides there is no polygon to count; above eight, a cap
+        with pytest.raises(error):
             enumerate_chambers(n)
 
     def test_walls_found_once_per_candidate(self, monkeypatch):
@@ -393,8 +401,7 @@ def _check_against_oracle(member: np.ndarray) -> None:
     """The packed closure check and successor pass agree with the boolean
     oracle on any family, and the walls on a closed one."""
     width = member.size.bit_length() - 1
-    bitmap = np.packbits(member, bitorder="little").tobytes()
-    bits = int.from_bytes(bitmap, "little")
+    bits = int.from_bytes(np.packbits(member, bitorder="little").tobytes(), "little")
     closed = oracle_closed_below(member)
     # the successors of m are the complements of the predecessors of its
     # complement, so read the oracle on the reversed complement
@@ -402,7 +409,7 @@ def _check_against_oracle(member: np.ndarray) -> None:
     assert np.array_equal(_as_array(chambers._closed_below(bits, width), width), closed)
     assert np.array_equal(_as_array(chambers._below_a_member(bits, width), width), below)
     if width >= 2 and not (member & ~closed).any():
-        assert ChamberSignature(width + 1, bitmap).walls == oracle_walls(member)
+        assert ChamberSignature(width + 1, bits).walls == oracle_walls(member)
 
 
 @st.composite

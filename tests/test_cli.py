@@ -200,6 +200,13 @@ class TestCensus:
         assert code == 3
         assert "limit" in err
 
+    @pytest.mark.parametrize("n", ["2", "0", "-5"])
+    def test_too_few_sides(self, n):
+        # no cap: a census below three sides has too few sides, as betti says
+        code, out, err = invoke("census", "--n", n)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_byte_identical_runs(self):
         first = invoke("census", "--n", "5", "--json")
         second = invoke("census", "--n", "5", "--json")

@@ -41,6 +41,7 @@ from polygonspaces.errors import (
     DegenerateConfiguration,
     NonUnitInput,
     NotGeneric,
+    OutOfRange,
     SubsetNotLong,
 )
 from polygonspaces.morse import _as_floats
@@ -496,6 +497,12 @@ class TestComplementHomology:
     def test_nongeneric_rejected(self):
         with pytest.raises(NotGeneric):
             complement_poincare_polynomial(parse_length_vector("1,1,2"), 3)
+
+    def test_degree_past_the_largest_list(self, monkeypatch):
+        # refused on the degree alone, before any critical record is built
+        monkeypatch.setattr(morse, "critical_data", lambda *a: pytest.fail("scanned"))
+        with pytest.raises(OutOfRange, match="largest list"):
+            complement_poincare_polynomial(parse_length_vector("1,2,2,2,4,4"), 10**20)
 
     def test_wrong_inertia_fails_the_check(self, monkeypatch):
         # the check reads the exact Hessians, not the counts it was built from

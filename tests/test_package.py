@@ -1,12 +1,15 @@
 """Package-wide static checks."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import polygonspaces
 
 SOURCE = Path(polygonspaces.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
+CONFIG = README.with_name("pyproject.toml")
 
 
 def test_no_assert_statements():
@@ -183,3 +186,32 @@ def test_readme_library_block_prints_what_it_says():
         else:
             exec(line, namespace)
     assert checked == ["ps.betti_table(lv, 3).dims", "ps.enumerate_chambers(5).count"]
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_property_is_reported(tmp_path):
+    # the suite turns warnings into errors; a warning raised while
+    # hypothesis reports a failure must not end the session unreported
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-c", str(CONFIG),
+         "test_property.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    output = run.stdout + run.stderr
+    assert "Falsifying example" in output
+    assert "INTERNALERROR" not in output
+    assert "1 failed, 1 passed" in output
