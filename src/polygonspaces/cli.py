@@ -133,21 +133,21 @@ def _cmd_betti(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     d = _require_d(args)
     lv = parse_length_vector(args.l).ordered()
     table = betti_table(lv, d)
-    doc = table.to_json_obj()
-    empty = not doc["betti"]
+    # the degrees before the header: a degree too long to print is named in
+    # the limit line, the lowest first, as under --json
+    betti = [f"betti[{exact_str(deg)}] = {dim}\n" for deg, dim in sorted(table.dims.items())]
     out.write(f"vector {lv}  n={lv.n} d={d}  manifold dim {exact_str(table.manifold_dim)}\n")
-    out.write(f"a = {doc['a']}\n")
-    out.write(f"b = {doc['b']}\n")
-    if empty:
+    out.write(f"a = {list(table.a)}\n")
+    out.write(f"b = {list(table.b)}\n")
+    if not betti:
         out.write("all Betti numbers vanish: the space is empty\n")
-    for deg, dim in sorted(doc["betti"].items(), key=lambda kv: int(kv[0])):
-        out.write(f"betti[{deg}] = {dim}\n")
-    out.write(f"euler = {doc['euler']}\n")
-    if doc["note"]:  # set exactly when a median subset exists
-        out.write(f"note: {doc['note']}\n")
+    out.writelines(betti)
+    out.write(f"euler = {table.euler}\n")
+    if table.note:  # set exactly when a median subset exists
+        out.write(f"note: {table.note}\n")
     elif tag := special_tag(table.a):
         out.write(f"special chamber: {tag}\n")
-    return EXIT_EMPTY if empty else EXIT_OK
+    return EXIT_OK if betti else EXIT_EMPTY
 
 
 def _cmd_ring(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:

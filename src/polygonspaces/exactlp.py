@@ -35,11 +35,13 @@ j + 1 is column j.  The reduced costs d*c - sum(c_b * row_b) are one more
 such row, carried through the pivots like the others, so pricing is one
 addition and one mask: a field is positive exactly when its top bit is set
 after adding 2^(w-1) - 1 to every field, and Bland's column is the lowest
-such bit.  The width comes from Hadamard's bound on the starting rows,
-the right-hand side included, stacked on one cost row (the larger of the
-two phases'): every entry of every tableau and reduced-cost row is +- a
-minor of that matrix, so |v| < 2^(w-1) holds throughout for any integer
-input.  Then the fields below field k sum to less than
+such bit.  Field 0 of that row is -d times the objective at the current
+basis, so at the end it holds the optimum, and after phase 1 its sign
+decides feasibility.  The width comes from Hadamard's bound on the
+starting rows, the right-hand side included, stacked on one cost row (the
+larger of the two phases'): every entry of every tableau and reduced-cost
+row is +- a minor of that matrix, so |v| < 2^(w-1) holds throughout for
+any integer input.  Then the fields below field k sum to less than
 2^(k*w-1) in absolute value, and rounding the row at bit k*w reads field
 k exactly.  A pivot is (p*R - f*P) // d on whole rows: every field of
 p*R - f*P is a multiple of d, so the packed quotient is exact too.
@@ -117,18 +119,22 @@ def _pivot(rows: list[int], d: int, r: int, col: list[int]) -> int:
     return p
 
 
-def _simplex(rows: list[int], basis: list[int], d: int, w: int, ncols: int) -> tuple[str, int]:
-    """Maximize on the canonical packed tableau rows/d of ncols columns,
-    whose last row holds the reduced costs; Bland's rule throughout.
-    Returns the status and the final denominator."""
+def _simplex(
+    rows: list[int], basis: list[int], d: int, w: int, cost: list[int]
+) -> tuple[str, int, int]:
+    """Maximize cost.x on the canonical packed tableau rows/d; Bland's rule
+    throughout.  Prices with one more row, d*c - sum(c_b * row_b), which is
+    popped at the end.  Returns the status, the final denominator and minus
+    field 0 of that row: d times the objective at the final basis."""
     half, mask = 1 << (w - 1), (1 << w) - 1
-    ones = ((1 << (ncols + 1) * w) - 1) // mask  # a 1 in every field
+    ones = ((1 << (len(cost) + 1) * w) - 1) // mask  # a 1 in every field
     bias = (half - 1) * ones
     signs = half * ones ^ half  # the top bit of every field but the rhs
+    rows.append(d * _pack([0] + cost, w) - sum(cost[b] * row for b, row in zip(basis, rows)))
     while True:
         positive = (rows[-1] + bias) & signs
         if not positive:
-            return OPTIMAL, d
+            return OPTIMAL, d, -_field(rows.pop(), 0, w)
         k = ((positive & -positive).bit_length() - 1) // w
         shift = k * w - 1  # _field(row, k, w), inlined
         col = [((((row >> shift) + 1) >> 1) + half & mask) - half for row in rows]
@@ -145,7 +151,7 @@ def _simplex(rows: list[int], basis: list[int], d: int, w: int, ncols: int) -> t
                 if lhs < bound or (lhs == bound and basis[i] < basis[leaving]):
                     leaving, least_rhs, least_a = i, rhs, a
         if leaving < 0:
-            return UNBOUNDED, d
+            return UNBOUNDED, d, -_field(rows.pop(), 0, w)
         d = _pivot(rows, d, leaving, col)
         basis[leaving] = k - 1
 
@@ -165,7 +171,6 @@ def maximize(objective: Sequence[int], constraints: Sequence[Constraint]) -> LPR
     slacks = [i for i, (_, sign, _) in enumerate(rows) if sign]
     arts = [i for i, (_, sign, _) in enumerate(rows) if sign != 1]
     art_start = nvars + len(slacks)
-    ncols = art_start + len(arts)
     # Hadamard: a minor is at most the root of the product of the squared
     # norms of its matrix's rows, so |v| < 2^(w-1) for every field v
     squares = max(1, len(arts), sum(c * c for c in obj))
@@ -182,12 +187,9 @@ def maximize(objective: Sequence[int], constraints: Sequence[Constraint]) -> LPR
         tableau[i] += 1 << (j + 1) * w
         basis[i] = j
 
-    # phase 1 cost: -1 on each artificial, so d*c - sum(c_b row_b) with d = 1
-    cost = sum(1 << (j + 1) * w for j in range(art_start, ncols))
-    tableau.append(sum(tableau[i] for i in arts) - cost)
-    _, d = _simplex(tableau, basis, 1, w, ncols)
-    tableau.pop()
-    if any(_field(row, 0, w) > 0 for row, b in zip(tableau, basis) if b >= art_start):
+    # below zero, some artificial stays positive: no point satisfies every row
+    _, d, value = _simplex(tableau, basis, 1, w, [0] * art_start + [-1] * len(arts))
+    if value < 0:
         return LPResult(INFEASIBLE)
     # pivot lingering degenerate artificials out, dropping redundant rows
     for i in range(len(tableau) - 1, -1, -1):
@@ -205,17 +207,11 @@ def maximize(objective: Sequence[int], constraints: Sequence[Constraint]) -> LPR
     top = 1 << ((art_start + 1) * w - 1)
     tableau = [((row + top) & ((top << 1) - 1)) - top for row in tableau]
 
-    # phase 2 cost: the objective, so d*c - sum(c_b row_b)
-    cost = obj + [0] * (art_start - nvars)
-    priced = sum(cost[b] * row for b, row in zip(basis, tableau))
-    tableau.append(d * _pack([0] + cost, w) - priced)
-    status, d = _simplex(tableau, basis, d, w, art_start)
-    tableau.pop()
+    status, d, value = _simplex(tableau, basis, d, w, obj + [0] * (art_start - nvars))
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)
     x = [Fraction(0)] * nvars
     for row, b in zip(tableau, basis):
         if b < nvars:
             x[b] = Fraction(_field(row, 0, w), d)
-    value = sum(c * v for c, v in zip(obj, x))
-    return LPResult(OPTIMAL, value, tuple(x))
+    return LPResult(OPTIMAL, Fraction(value, d), tuple(x))

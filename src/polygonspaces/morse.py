@@ -13,7 +13,6 @@ gives its inertia exactly, in O(n) integer operations and without floats.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -290,10 +289,12 @@ def jacobian_rank(lv: LengthVector, config: PolygonConfiguration) -> int:
     if u.shape[0] != n:
         raise ValueError(f"expected {n} direction rows, got {u.shape[0]}")
     _check_units(u)
-    lengths, scale = _as_floats(lv)
+    lengths, _ = _as_floats(lv)
     partial = np.cumsum(lengths[:, None] * u, axis=0)[:-1]  # v_1 .. v_{n-1}
     norms = np.linalg.norm(partial, axis=1)
-    if np.any(norms < RESIDUAL_TOL * scale):
+    # v_j is a sum of j sides, so its norm is measured against theirs: a
+    # tiny first side is no vanishing sum
+    if np.any(norms < RESIDUAL_TOL * np.cumsum(lengths)[:-1]):
         raise DegenerateConfiguration("a partial sum vanishes; the map is not smooth")
     rows = np.zeros((n, (n - 1) * d))
     rows[0, :d] = partial[0] / norms[0]
@@ -312,13 +313,13 @@ def jacobian_rank(lv: LengthVector, config: PolygonConfiguration) -> int:
 def complement_poincare_polynomial(lv: LengthVector, d: int) -> list[int]:
     """Poincare polynomial of the off-zero region: each critical record
     contributes t^index (1 + t^dim), that is t^{(d-1)(n-|J|)} (1 + t^{d-1})
-    for its long side J.  A degree (d-1)n past Python's largest list
+    for its long side J.  A coefficient list that cannot be allocated
     raises OutOfRange before any critical record is built."""
     require_dimension(d)
-    terms = (d - 1) * lv.n + 1
-    if terms > sys.maxsize:
-        raise OutOfRange("the polynomial of degree (d-1)n exceeds Python's largest list")
-    coeffs = [0] * terms
+    try:
+        coeffs = [0] * ((d - 1) * lv.n + 1)
+    except (MemoryError, OverflowError):
+        raise OutOfRange("the polynomial of degree (d-1)n exceeds Python's largest list") from None
     for r in critical_data(lv, d):
         coeffs[r.index] += 1
         coeffs[r.index + r.dim] += 1

@@ -343,15 +343,23 @@ class TestCensus:
         assert enumerate_chambers(n).count == len(counts)
         assert counts == sorted(counts)
 
-    def test_lp_pivot_path(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "n, lps, pivots",
+        [
+            pytest.param(6, 26, 393, id="6"),
+            pytest.param(7, 161, 2804, id="7"),
+            pytest.param(8, 3119, 71836, id="8", marks=pytest.mark.slow),
+        ],
+    )
+    def test_lp_pivot_path(self, monkeypatch, n, lps, pivots):
         # the pivot count pins Bland's path through every LP, not only the
         # vertices it ends on
-        lps, pivots = [], []
+        lp_calls, pivot_calls = [], []
         maximize, pivot = exactlp.maximize, exactlp._pivot
-        monkeypatch.setattr(exactlp, "maximize", lambda *a: lps.append(1) or maximize(*a))
-        monkeypatch.setattr(exactlp, "_pivot", lambda *a: pivots.append(1) or pivot(*a))
-        assert enumerate_chambers(7).count == 135
-        assert (len(lps), len(pivots)) == (161, 2804)
+        monkeypatch.setattr(exactlp, "maximize", lambda *a: lp_calls.append(1) or maximize(*a))
+        monkeypatch.setattr(exactlp, "_pivot", lambda *a: pivot_calls.append(1) or pivot(*a))
+        enumerate_chambers(n)
+        assert (len(lp_calls), len(pivot_calls)) == (lps, pivots)
 
 
 @st.composite

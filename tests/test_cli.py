@@ -294,6 +294,16 @@ class TestVerify:
         assert doc["lacunary_consistent"] is True
         assert doc["jacobian_rank"] == 3
 
+    @pytest.mark.parametrize(
+        "vector, n",
+        [("1,1000000000,1000000000,1000000000", 4), ("2,3,1000000000,1000000000,1000000000", 5)],
+    )
+    def test_tiny_side_is_no_vanishing_sum(self, vector, n):
+        # v_1 = l_1 u_1 has norm l_1, far below 10^-9 of the perimeter
+        code, out, err = invoke("verify", "--d", "3", "--l", vector)
+        assert (code, err) == (0, "")
+        assert f"jacobian rank: {n} (full rank is {n})\n" in out
+
     def test_unallocatable_dimension_is_a_limit(self):
         # 10^15 * n * 8 bytes exceeds any 64-bit address space, so
         # find_polygon's direction array fails at once; past 10^18 the byte

@@ -498,11 +498,14 @@ class TestComplementHomology:
         with pytest.raises(NotGeneric):
             complement_poincare_polynomial(parse_length_vector("1,1,2"), 3)
 
-    def test_degree_past_the_largest_list(self, monkeypatch):
+    # past 2^63 the length overflows; below it the list outgrows any
+    # 64-bit address space, so the allocation fails at once
+    @pytest.mark.parametrize("d", [10**17, 10**18, 10**20], ids=["1e17", "1e18", "1e20"])
+    def test_degree_past_the_largest_list(self, monkeypatch, d):
         # refused on the degree alone, before any critical record is built
         monkeypatch.setattr(morse, "critical_data", lambda *a: pytest.fail("scanned"))
         with pytest.raises(OutOfRange, match="largest list"):
-            complement_poincare_polynomial(parse_length_vector("1,2,2,2,4,4"), 10**20)
+            complement_poincare_polynomial(parse_length_vector("1,2,2,2,4,4"), d)
 
     def test_wrong_inertia_fails_the_check(self, monkeypatch):
         # the check reads the exact Hessians, not the counts it was built from
