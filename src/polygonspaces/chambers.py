@@ -9,6 +9,7 @@ smaller unused slot, and it determines the vector's chamber completely.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
@@ -75,10 +76,17 @@ class ChamberSignature:
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> ChamberSignature:
-        """The signature whose members are exactly ``masks``."""
+        """The signature whose members are exactly ``masks``, each an integer
+        that is not a bool."""
         check_enumeration_width(n)
         member = np.zeros(1 << (n - 1), dtype=bool)
         for m in masks:
+            try:
+                if isinstance(m, (bool, np.bool_)):  # numpy reads a bool as every index
+                    raise TypeError
+                m = operator.index(m)
+            except TypeError:
+                raise MalformedCandidate(f"mask {m!r} is not an integer") from None
             if not 0 <= m < member.size:
                 raise MalformedCandidate(f"mask {m} is not a subset of 1..{n - 1}")
             member[m] = True

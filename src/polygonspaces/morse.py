@@ -30,6 +30,7 @@ from .errors import (
 )
 from .lengths import (
     LengthVector,
+    exact_str,
     excess,
     indices_of_mask,
     reject_median,
@@ -235,13 +236,21 @@ def hessian_signature(lv: LengthVector, subset: int) -> tuple[int, int, int]:
     return hessian_matrix(lv, subset).signature
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CriticalSubmanifoldData:
     subset: int  # the long representative of the pair {J, complement}
     critical_value: int  # -L_J^2, exact in the integer normal form
     index: int  # (d-1)(n-|J|)
     dim: int  # d-1, the sphere of aligned configurations
     hessian_signature: tuple[int, int, int]
+
+    def to_json_obj(self) -> dict:
+        return {
+            "subset": list(indices_of_mask(self.subset)),
+            "value": exact_str(self.critical_value),
+            "index": self.index,
+            "signature": list(self.hessian_signature),
+        }
 
 
 def critical_data(lv: LengthVector, d: int) -> list[CriticalSubmanifoldData]:

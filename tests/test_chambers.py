@@ -138,6 +138,16 @@ class TestFormat:
         with pytest.raises(MalformedCandidate, match="not a packed bitmap of 4 masks"):
             ChamberSignature(3, 0b11111)
 
+    @pytest.mark.parametrize("mask", [True, np.True_, False, 1.0, "1", None])
+    def test_mask_not_an_integer(self, mask):
+        # numpy reads a bool (or None) as an index of its own kind, so
+        # [0, True] meant all masks; a float or text failed untyped
+        with pytest.raises(MalformedCandidate, match="is not an integer"):
+            ChamberSignature.from_masks(4, [0, mask])
+
+    def test_numpy_integer_mask(self):
+        assert ChamberSignature.from_masks(4, [0, np.int64(1)]).masks() == [0, 1]
+
     @pytest.mark.parametrize("n", [-1, 0, 1, 2])
     def test_too_few_sides(self, n):
         with pytest.raises(TooFewEntries):

@@ -373,6 +373,55 @@ class TestVerify:
         assert sum(written) > 4 * 10**6
         assert peaks[0] < 15 * 2**20
 
+    @staticmethod
+    def _peak_per_record(n, *extra):
+        """tracemalloc's peak over an in-process verify of (3, 5, ..., 2n+1),
+        per critical record, after a warm-up call has built the tables."""
+        sink = SimpleNamespace(write=lambda text: None, flush=lambda: None)
+        argv = ["verify", "--d", "3", "--l", ",".join(map(str, range(3, 2 * n + 2, 2))), *extra]
+        assert run(argv, out=sink, err=io.StringIO()) == 0
+        tracemalloc.start()
+        try:
+            assert run(argv, out=sink, err=io.StringIO()) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / 2 ** (n - 1)
+
+    def test_records_held_once_in_text(self):
+        # the records alone: a formatted copy of each one took the peak past
+        # 700 bytes a record
+        assert self._peak_per_record(13) < 640
+
+    @pytest.mark.slow
+    def test_records_held_once_in_json(self):
+        # the document holds the records, each rendered as it is written
+        assert self._peak_per_record(15, "--json") < 800
+
+    def test_first_record_as_json(self):
+        records = morse.critical_data(parse_length_vector("1,2,2,2,4,4"), 3)
+        assert records[0].to_json_obj() == {
+            "subset": [1, 2, 3, 4, 5, 6],
+            "value": "-225",
+            "index": 0,
+            "signature": [5, 0, 1],
+        }
+
+    @pytest.mark.parametrize("extra", [(), ("--json",)])
+    def test_critical_value_too_long_to_print(self, extra):
+        # the entries print, but L^2 of the whole set has more digits than
+        # Python's int-to-str limit: the largest value is checked first
+        code, out, err = invoke("verify", "--d", "3", "--l", "1e2200,1e2200,1", *extra)
+        assert (code, out) == (3, "")
+        assert err.startswith("limit: an exact integer of 14619 bits ")
+
+    @pytest.mark.parametrize("extra", [(), ("--json",)])
+    def test_failed_lacunary_check_is_a_fault(self, monkeypatch, extra):
+        monkeypatch.setattr(cli, "_lacunary", lambda records, d: False)
+        code, out, err = invoke("verify", "--d", "3", "--l", "1,2,2,2,4,4", *extra)
+        assert (code, out) == (3, "")
+        assert err == "fault: a Morse index disagrees with its exact Hessian inertia\n"
+
     def test_degenerate_configuration_is_a_limit(self, monkeypatch):
         def degenerate(lv, config):
             raise DegenerateConfiguration("a partial sum vanishes")

@@ -123,10 +123,12 @@ def test_one_ordering_check():
 
 def test_one_hessian_certificate():
     # HessianMatrix.signature is the one place that checks the Schur
-    # complement, and critical_data takes each L_J from its scan, not excess
+    # complement, and critical_data takes each L_J from its scan, not excess;
+    # verify refuses records whose index disagrees with that inertia
     assert _raisers("CertificateFailure") == [
         "chambers.realize_signature",
         "chambers.enumerate_chambers",
+        "cli._cmd_verify",
         "morse.signature",
     ]
     assert "morse.critical_data" not in _owners(lambda node: _calls(node, "excess"))
