@@ -308,16 +308,17 @@ def enumerate_chambers(n: int) -> CensusResult:
     rep = realize_signature(start)
     if rep is None:
         raise CertificateFailure("the LP found no vector with an empty polygon space")
-    # keyed by bitmap, None when the LP is infeasible: a candidate seen
-    # before is skipped before its signature is built and validated
-    seen: dict[int, LengthVector | None] = {0: rep}
+    # the bitmap of every candidate LP-tested, realizable or not: a candidate
+    # seen before is skipped before its signature is built and validated
+    seen: set[int] = {0}
     found = [(start, rep)]
     for chamber, _ in found:  # the list grows while it is walked
         for m in chamber.walls:
             bitmap = chamber.bitmap ^ 1 << m
             if bitmap not in seen:
+                seen.add(bitmap)
                 cand = ChamberSignature(n, bitmap)
-                seen[bitmap] = rep = realize_signature(cand)
+                rep = realize_signature(cand)
                 if rep is not None:
                     found.append((cand, rep))
     # by the printed family as compact JSON text; sorting the index lists

@@ -49,7 +49,6 @@ p*R - f*P is a multiple of d, so the packed quotient is exact too.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction

@@ -211,12 +211,11 @@ class HessianMatrix:
         nonzero numerator raises CertificateFailure.  An L_J read off the
         subset scan is so checked against the signed sum of the sides.
         """
-        long_side = tuple(j for j, k in enumerate(self.kernel_vector, 1) if k > 0)
         if self.excess != sum(self.kernel_vector):
-            raise CertificateFailure(
-                f"the Hessian Schur complement at {long_side} is not zero"
-            )
-        return len(long_side) - 1, len(self.kernel_vector) - len(long_side), 1
+            long_side = tuple(j for j, k in enumerate(self.kernel_vector, 1) if k > 0)
+            raise CertificateFailure(f"the Hessian Schur complement at {long_side} is not zero")
+        size = sum(k > 0 for k in self.kernel_vector)
+        return size - 1, len(self.kernel_vector) - size, 1
 
 
 def _kernel_vector(lv: LengthVector, subset: int) -> tuple[int, ...]:
@@ -240,9 +239,8 @@ def hessian_signature(lv: LengthVector, subset: int) -> tuple[int, int, int]:
 class CriticalSubmanifoldData:
     subset: int  # the long representative of the pair {J, complement}
     critical_value: int  # -L_J^2, exact in the integer normal form
-    index: int  # (d-1)(n-|J|)
-    dim: int  # d-1, the sphere of aligned configurations
-    hessian_signature: tuple[int, int, int]
+    index: int  # (d-1)(n-|J|), on a (d-1)-sphere of aligned configurations
+    hessian_signature: tuple[int, int, int]  # one object per side count |J|
 
     def to_json_obj(self) -> dict:
         return {
@@ -271,13 +269,15 @@ def critical_data(lv: LengthVector, d: int) -> list[CriticalSubmanifoldData]:
     reps[exc < 0] ^= (1 << n) - 1
     long_excess = abs(exc)
     order = np.lexsort((subset_rank(n)[reps], -long_excess))
+    shared: dict[tuple[int, int, int], tuple[int, int, int]] = {}  # each inertia's first copy
     return [
         CriticalSubmanifoldData(
             subset=rep,
             critical_value=-e * e,
             index=(d - 1) * (n - rep.bit_count()),
-            dim=d - 1,
-            hessian_signature=HessianMatrix(e, _kernel_vector(lv, rep)).signature,
+            hessian_signature=shared.setdefault(
+                sig := HessianMatrix(e, _kernel_vector(lv, rep)).signature, sig
+            ),
         )
         for rep, e in zip(reps[order].tolist(), long_excess[order].tolist())
     ]
@@ -321,7 +321,7 @@ def jacobian_rank(lv: LengthVector, config: PolygonConfiguration) -> int:
 
 def complement_poincare_polynomial(lv: LengthVector, d: int) -> list[int]:
     """Poincare polynomial of the off-zero region: each critical record
-    contributes t^index (1 + t^dim), that is t^{(d-1)(n-|J|)} (1 + t^{d-1})
+    contributes t^index (1 + t^{d-1}), that is t^{(d-1)(n-|J|)} (1 + t^{d-1})
     for its long side J.  A coefficient list that cannot be allocated
     raises OutOfRange before any critical record is built."""
     require_dimension(d)
@@ -331,17 +331,17 @@ def complement_poincare_polynomial(lv: LengthVector, d: int) -> list[int]:
         raise OutOfRange("the polynomial of degree (d-1)n exceeds Python's largest list") from None
     for r in critical_data(lv, d):
         coeffs[r.index] += 1
-        coeffs[r.index + r.dim] += 1
+        coeffs[r.index + d - 1] += 1
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
 
 
 def _lacunary(records: Sequence[CriticalSubmanifoldData], d: int) -> bool:
-    """Each record's (index, dim) is d-1 times the (negative, zero) counts
-    of its exact Hessian inertia."""
+    """Each record's index and sphere dimension d-1 are d-1 times the
+    (negative, zero) counts of its exact Hessian inertia."""
     return all(
-        (r.index, r.dim) == tuple((d - 1) * k for k in r.hessian_signature[1:])
+        (r.index, d - 1) == tuple((d - 1) * k for k in r.hessian_signature[1:])
         for r in records
     )
 

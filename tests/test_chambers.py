@@ -242,6 +242,12 @@ class TestRealize:
         with pytest.raises(CertificateFailure):
             realize_signature(ChamberSignature.from_masks(3, {0}))
 
+    def test_census_needs_the_empty_family(self, monkeypatch):
+        monkeypatch.setattr(chambers, "realize_signature", lambda sig: None)
+        with pytest.raises(CertificateFailure) as raised:
+            enumerate_chambers(4)
+        assert str(raised.value) == "the LP found no vector with an empty polygon space"
+
 
 #: sha256 of the ``census --n N --json`` stdout
 _CENSUS_DIGESTS = {

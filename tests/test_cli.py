@@ -75,6 +75,9 @@ class TestBetti:
             "",
         )
 
+    def test_no_entries(self):
+        assert invoke("betti", "--d", "3", "--l", " , ") == (1, "", "error: no entries found\n")
+
     def test_low_dimension_rejected(self):
         code, _, err = invoke("betti", "--l", "1,1,1", "--d", "2")
         assert code == 1

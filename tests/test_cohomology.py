@@ -252,6 +252,23 @@ class TestRingIsomorphism:
         relabelled = _quadrics("13", "35", "52", "24", "46", "61")
         assert rings_isomorphic_bruteforce(HEXAGON, relabelled)
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (("12", "34", "15"), ("1", "23", "345")),  # generator degrees differ
+            (("12", "23", "34"), ("12", "13", "14")),  # a path and a star
+        ],
+        ids=["degrees", "profiles"],
+    )
+    def test_prefilters_refute(self, first, second):
+        # both rejected before the search: the star's Z1 is in all three
+        # generators, no variable of the path is in more than two
+        a, b = (
+            RingPresentation(6, 3, (), tuple(mask_from_indices(map(int, g)) for g in gens))
+            for gens in (first, second)
+        )
+        assert not rings_isomorphic_bruteforce(a, b)
+
     def test_zero_rings_isomorphic(self):
         a = ring_presentation(parse_length_vector("1,1,3"), 3)
         b = ring_presentation(parse_length_vector("1,2,3,7"), 3)

@@ -304,3 +304,18 @@ def test_scaled_rows_match_oracle(scale):
         assert res == oracle_maximize(objective, scaled)
         plain = maximize(objective, constraints)
         assert (res.status, res.objective) == (plain.status, plain.objective)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: constraint([1], "<", 1), "unknown relation '<'"),
+        (lambda: maximize([1, 1], [constraint([1], LESS_EQUAL, 1)]),
+         "constraint width does not match the objective"),
+    ],
+    ids=["relation", "width"],
+)
+def test_argument_guards(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

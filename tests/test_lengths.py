@@ -413,3 +413,19 @@ class TestProperties:
         import math
 
         assert math.gcd(*lv.entries) == 1
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: mask_from_indices([0]), ValueError, "subset indices are 1-based, got 0"),
+        (lambda: excess(parse_length_vector("1,2,2,2,4,4"), 1 << 6), ValueError,
+         "mask 64 outside subsets of 1..6"),
+        (lambda: parse_length_vector(" , , "), TooFewEntries, "no entries found"),
+    ],
+    ids=["zero_index", "wide_mask", "no_entries"],
+)
+def test_argument_guards(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message

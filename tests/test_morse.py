@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +44,7 @@ from polygonspaces.errors import (
     NotGeneric,
     OutOfRange,
     SubsetNotLong,
+    UnsupportedDimension,
 )
 from polygonspaces.morse import _as_floats
 
@@ -53,6 +55,10 @@ ORACLE_VECTORS = [
     for high in (60, 10**6)
     for seed in range(3)
 ] + BOUNDARY_VECTORS
+
+
+#: the 15-gon (3, 5, ..., 31): 2^14 critical records, generic since its total is odd
+FIFTEEN_GON = LengthVector(tuple(range(3, 32, 2)))
 
 
 def triangle_config():
@@ -323,7 +329,8 @@ class TestCriticalData:
             ((2, 3), -9, 2),
             ((3,), -1, 4),
         ]
-        assert all(r.dim == 2 for r in recs)
+        # one zero each: every record is a (d-1)-sphere of aligned configurations
+        assert all(r.hessian_signature[2] == 1 for r in recs)
 
     def test_equilateral(self):
         recs = critical_data(parse_length_vector("1,1,1"), 3)
@@ -363,6 +370,22 @@ class TestCriticalData:
         for r in recs:
             size = r.subset.bit_count()
             assert r.hessian_signature == (size - 1, 16 - size, 1)
+
+    def test_one_tuple_object_per_inertia(self):
+        recs = critical_data(FIFTEEN_GON, 3)
+        shared = {id(r.hessian_signature) for r in recs}
+        assert len(shared) == len({r.hessian_signature for r in recs})
+
+    def test_retained_bytes_per_record(self):
+        # a record holds its subset, value, index and a shared inertia tuple
+        critical_data(FIFTEEN_GON, 3)  # first call fills the rank table's cache
+        tracemalloc.start()
+        try:
+            recs = critical_data(FIFTEEN_GON, 3)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained / len(recs) <= 200
 
     def test_energy_at_aligned_configuration_matches(self):
         lv = parse_length_vector("1,2,2,2,4,4")
@@ -522,3 +545,27 @@ class TestComplementHomology:
     @settings(max_examples=40)
     def test_consistency_property(self, lv, d):
         assert lacunary_consistency(lv, d)
+
+
+EXAMPLE = parse_length_vector("1,2,2,2,4,4")
+FIVE_ROWS = PolygonConfiguration(3, np.tile([1.0, 0.0, 0.0], (5, 1)), 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: PolygonConfiguration(3, np.zeros((6, 2)), 0.0), ValueError,
+         "direction array must be (n, 3)"),
+        (lambda: energy(EXAMPLE, FIVE_ROWS), ValueError, "expected 6 direction rows, got 5"),
+        (lambda: jacobian_rank(EXAMPLE, FIVE_ROWS), ValueError,
+         "expected 6 direction rows, got 5"),
+        (lambda: find_polygon(EXAMPLE, 1), UnsupportedDimension, "directions need d >= 2, got 1"),
+        (lambda: critical_data(EXAMPLE, 1), UnsupportedDimension,
+         "directions need d >= 2, got 1"),
+    ],
+    ids=["config_width", "energy_rows", "rank_rows", "solver_d", "critical_d"],
+)
+def test_argument_guards(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message

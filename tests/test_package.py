@@ -168,6 +168,52 @@ def test_one_subset_scan_kernel():
     assert not _calls(ast.parse("subset_sizes(3)").body[0].value, "subset_sums")
 
 
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Each name an import statement of ``tree`` binds that no expression
+    reads; ``from __future__`` imports bind nothing to read."""
+    bound = [
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in bound if name not in read]
+
+
+def test_no_unused_imports():
+    # the imports of __init__.py are the exports, checked by the next test
+    found = [
+        f"{path.stem}.{name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
+def test_unused_import_check_sees_each_form():
+    snippet = """
+from __future__ import annotations
+import math
+import os.path
+import numpy as np
+from fractions import Fraction
+from typing import Sequence as Seq
+import re
+
+re = np.zeros(3)
+def f(s: Seq) -> Fraction:
+    return os.path.join(s)
+"""
+    assert _unused_imports(ast.parse(snippet)) == ["math", "re"]
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in polygonspaces.__all__ if not hasattr(polygonspaces, name)]
     assert missing == []
