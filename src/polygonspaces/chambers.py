@@ -26,6 +26,7 @@ from .errors import (
 from .lengths import (
     LengthVector,
     check_enumeration_width,
+    first_in_index_order,
     indices_of_mask,
     reject_median,
     require_ordered,
@@ -157,12 +158,8 @@ def _compare_families(a: ChamberSignature, b: ChamberSignature) -> ChamberCompar
     n is adjoined."""
     if a == b:
         return ChamberComparison(True, None)
-    # the rank table before the unpacked difference: in the other order
-    # compare on two 21-gons peaks at 49 MB of RSS instead of 45 MB
-    rank = subset_rank(a.n - 1)
-    differ = np.flatnonzero(_unpack(a.bitmap ^ b.bitmap, a.n - 1))
-    smallest = int(differ[rank[differ].argmin()])
-    return ChamberComparison(False, smallest | 1 << (a.n - 1))
+    first = first_in_index_order(a.bitmap ^ b.bitmap, a.n - 1)
+    return ChamberComparison(False, first | 1 << (a.n - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -263,8 +263,8 @@ def classify_pair(first: LengthVector, second: LengthVector, d: int) -> PairVerd
         raise DimensionMismatch(f"n={first.n} vs n={second.n}")
     s1 = first.ordered()
     s2 = second.ordered()
-    # Betti first: the chamber witness fills the cached rank table, which
-    # would otherwise be held through both Betti scans
+    # Betti first: the chamber witness fills the cached stride bitmaps,
+    # which would otherwise be held through both Betti scans
     betti_equal = betti_table(s1, d).dims == betti_table(s2, d).dims
     cmp = same_chamber_up_to_permutation(s1, s2)
     return _verdict(cmp, betti_equal)

@@ -60,12 +60,10 @@ def indices_of_mask(mask: int) -> tuple[int, ...]:
     if mask < 0:  # a negative mask shifts right forever
         raise ValueError(f"masks are non-negative, got {mask}")
     out = []
-    i = 1
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 
@@ -110,7 +108,7 @@ def subset_rank(width: int) -> np.ndarray:
     k prefixes and after every subtree of a lower branch.  With R the mask
     read backwards (index i weighs 2^(width-i)) the walk gives
     rank = k + 2^width - R - (R & -R) for S nonempty, and rank 0 for the
-    empty set.
+    empty set.  ``first_in_index_order`` walks the same preorder.
     """
     backwards = _doubling([1 << (width - 1 - i) for i in range(width)], np.int32)
     table = (1 << width) - backwards - (backwards & -backwards)
@@ -118,6 +116,34 @@ def subset_rank(width: int) -> np.ndarray:
     table[0] = 0
     table.setflags(write=False)
     return table
+
+
+@functools.lru_cache(maxsize=1)
+def _strides(width: int) -> tuple[int, ...]:
+    """T_j for j < width: the bitmap of the odd multiples of 2^j below 2^width."""
+    strides, evens = [], 1  # evens: the multiples of 2^(j+1)
+    for j in reversed(range(width)):
+        strides.append(evens << (1 << j))
+        evens |= evens << (1 << j)
+    return tuple(reversed(strides))
+
+
+def first_in_index_order(bitmap: int, width: int) -> int:
+    """The set bit of a nonzero bitmap over a width-element set's masks whose
+    mask comes first in ``subset_rank``'s preorder, by a trie descent: the
+    subtree of prefix + 2^j holds prefix + the odd multiples of 2^j, and j
+    only grows, so it makes at most width ANDs with T_j and no rank table."""
+    if bitmap <= 0 or bitmap >> (1 << width):
+        raise ValueError(f"not a nonzero bitmap of {1 << width} masks")
+    strides = _strides(width)
+    prefix = j = 0
+    while not bitmap & 1:  # bit k of bitmap is the mask prefix + k
+        while not bitmap & strides[j]:
+            j += 1
+        bitmap >>= 1 << j
+        prefix += 1 << j
+        j += 1
+    return prefix
 
 
 # ---------------------------------------------------------------------------

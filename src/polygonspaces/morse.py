@@ -269,6 +269,8 @@ def critical_data(lv: LengthVector, d: int) -> list[CriticalSubmanifoldData]:
     reps[exc < 0] ^= (1 << n) - 1
     long_excess = abs(exc)
     order = np.lexsort((subset_rank(n)[reps], -long_excess))
+    # to Python ints a slice at a time, so no whole list outlives its use
+    chunks = (order[start : start + (1 << 12)] for start in range(0, order.size, 1 << 12))
     shared: dict[tuple[int, int, int], tuple[int, int, int]] = {}  # each inertia's first copy
     return [
         CriticalSubmanifoldData(
@@ -279,7 +281,8 @@ def critical_data(lv: LengthVector, d: int) -> list[CriticalSubmanifoldData]:
                 sig := HessianMatrix(e, _kernel_vector(lv, rep)).signature, sig
             ),
         )
-        for rep, e in zip(reps[order].tolist(), long_excess[order].tolist())
+        for chunk in chunks
+        for rep, e in zip(reps[chunk].tolist(), long_excess[chunk].tolist())
     ]
 
 

@@ -38,7 +38,7 @@ from polygonspaces.errors import (
     OutOfRange,
     TooFewEntries,
 )
-from polygonspaces.lengths import subset_sizes
+from polygonspaces.lengths import subset_rank, subset_sizes
 
 
 class TestSignature:
@@ -200,6 +200,23 @@ class TestComparison:
         assert not same_chamber_up_to_permutation(
             parse_length_vector("1,2,2,2,4,4"), parse_length_vector("1,1,3,4,8,8")
         ).same
+
+    @pytest.mark.parametrize("n", [22, 24])
+    def test_wide_witness_is_the_rank_argmin(self, n):
+        # the descent on the bitmap against the differing mask of lowest
+        # rank in the subset_rank table
+        rnd = random.Random(n)
+        signatures = []
+        while len(signatures) < 3:
+            lv = LengthVector(tuple(sorted(rnd.randint(1, 10**9) for _ in range(n))))
+            if is_generic(lv):
+                signatures.append(chamber_signature(lv))
+        rank = subset_rank(n - 1)
+        for a, b in [(0, 1), (0, 2), (1, 2)]:
+            first, second = signatures[a], signatures[b]
+            differ = np.flatnonzero(chambers._unpack(first.bitmap ^ second.bitmap, n - 1))
+            want = int(differ[rank[differ].argmin()]) | 1 << (n - 1)
+            assert chambers._compare_families(first, second).witness == want
 
     def test_nonempty_vs_empty_witness(self):
         verdict = same_chamber_up_to_permutation(

@@ -355,7 +355,7 @@ class TestVerify:
     @pytest.mark.slow
     def test_json_is_written_in_slices(self, monkeypatch):
         # about a million tokens; joining them all at once peaks near 30 MB
-        # above the document, slices of 2^16 tokens near 4 MB
+        # above the document, slices of 2^10 records near 1 MB
         peaks = []
         emit = cli._emit_json
 
@@ -462,6 +462,58 @@ class TestVerify:
             assert err == (
                 "fault: the Hessian Schur complement at (1, 2, 3, 4, 5, 6) is not zero\n"
             )
+
+
+class _Record:
+    """A value the emitter renders through its to_json_obj()."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def to_json_obj(self):
+        return {"inner": self.inner, "kind": "record"}
+
+
+#: keys and strings with quotes, backslashes, control characters, non-ASCII
+_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\\n\x00\x1f\x7fé\u2028😀'), st.characters()), max_size=6
+)
+_LEAF = st.one_of(
+    st.integers(-(2**100), 2**100),
+    st.booleans(),
+    st.none(),
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]),
+    st.floats(),
+    _TEXT,
+)
+_VALUES = st.recursive(
+    _LEAF,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+        inner.map(_Record),
+    ),
+    max_leaves=20,
+)
+
+
+def _check_emitted(doc):
+    out = io.StringIO()
+    cli._emit_json(doc, out)
+    want = json.dumps(doc, indent=2, sort_keys=True, default=lambda obj: obj.to_json_obj())
+    assert out.getvalue() == want + "\n"
+
+
+class TestEmitJson:
+    @given(st.dictionaries(_TEXT, _VALUES, max_size=5))
+    def test_matches_json_dumps(self, doc):
+        _check_emitted(doc)
+
+    @pytest.mark.parametrize("k", [1023, 1024, 1025, 2049])
+    def test_long_top_level_lists(self, k):
+        # written a slice at a time, around the slice boundaries
+        _check_emitted({"a": list(range(k)), "b": [_Record([i, None]) for i in range(k)], "c": 1})
 
 
 class TestClassifyFile:

@@ -357,7 +357,7 @@ class TestVectorRecord:
     @pytest.mark.slow
     def test_wide_witnesses_match_oracle(self):
         # 22-gons: 2^21 masks per signature, so the witness runs on the
-        # rank table, not on a key call per differing mask
+        # bitmap descent, not on a key call per differing mask
         rnd = random.Random(22)
         vectors = []
         while len(vectors) < 4:

@@ -1,3 +1,4 @@
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from polygonspaces.lengths import (
     MAX_ENUM_N,
     MAX_SHOWN_VECTOR,
     exact_str,
+    first_in_index_order,
     shown_vector,
     subset_rank,
     subset_sizes,
@@ -195,6 +197,10 @@ class TestMasks:
         with pytest.raises(ValueError, match=f"masks are non-negative, got {mask}"):
             indices_of_mask(mask)
 
+    @given(st.integers(0, (1 << 200) - 1))
+    def test_indices_are_the_set_bits(self, mask):
+        assert indices_of_mask(mask) == tuple(i + 1 for i in range(200) if mask >> i & 1)
+
     def test_mask_key_orders_by_index_tuple(self):
         masks = [mask_from_indices(t) for t in [(2, 3), (1, 4), (1,), (1, 2, 3)]]
         assert [indices_of_mask(m) for m in sorted(masks, key=indices_of_mask)] == [
@@ -242,6 +248,32 @@ class TestSubsetRank:
         rank = subset_rank(5)
         chain = [mask_from_indices(s) for s in [(1, 2), (1, 2, 5), (1, 3), (2,)]]
         assert [rank[m] for m in chain] == sorted(rank[m] for m in chain)
+
+
+def _rank_argmin(bitmap: int, width: int) -> int:
+    """The set bit of lowest subset_rank, read off the rank table."""
+    differ = np.flatnonzero([bitmap >> m & 1 for m in range(1 << width)])
+    return int(differ[subset_rank(width)[differ].argmin()])
+
+
+class TestFirstInIndexOrder:
+    @pytest.mark.parametrize("width", range(11))
+    def test_matches_the_rank_table(self, width):
+        rng = random.Random(width)
+        size = 1 << width
+        # every single mask, dense bitmaps, and sparse ones whose first bit
+        # may lie deep in the trie
+        bitmaps = [1 << m for m in range(size)]
+        bitmaps += [rng.getrandbits(size) or 1 for _ in range(150)]
+        for _ in range(150):
+            bitmaps.append(sum(1 << m for m in {rng.randrange(size) for _ in range(3)}))
+        for bitmap in bitmaps:
+            assert first_in_index_order(bitmap, width) == _rank_argmin(bitmap, width)
+
+    @pytest.mark.parametrize("bitmap", [0, -1, 1 << 8, (1 << 9) - 1])
+    def test_refuses_what_is_not_a_nonzero_bitmap(self, bitmap):
+        with pytest.raises(ValueError, match="not a nonzero bitmap of 8 masks"):
+            first_in_index_order(bitmap, 3)
 
 
 class TestTopExcess:

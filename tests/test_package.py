@@ -42,8 +42,8 @@ def _sorts_by_mask_key(node: ast.AST) -> bool:
 
 
 def test_index_tuple_order_comes_from_the_rank_table():
-    # lengths.subset_rank is the one source of the order; a key call per
-    # mask is a second, slower algorithm for it
+    # lengths.subset_rank and first_in_index_order, which walk one preorder,
+    # are the sources of the order; a key call per mask is another, slower one
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SOURCE.glob("*.py"))
