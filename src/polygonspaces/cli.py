@@ -14,22 +14,16 @@ import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Sequence, TextIO
+from typing import TYPE_CHECKING, Sequence, TextIO
 
 from . import __version__
-from .chambers import ChamberSignature, chamber_signature, enumerate_chambers
-from .cohomology import (
-    PairVerdict,
-    betti_table,
-    classify_pair,
-    ring_presentation,
-    signature_verdict,
-    special_tag,
-)
 from .errors import CertificateFailure, DimensionMismatch, InputError, PolygonSpacesError
 from .lengths import LengthVector, exact_str, indices_of_mask, parse_length_vector
 from .lengths import _past_digit_limit, _shown
-from .morse import EmptySpaceCertificate, _lacunary, critical_data, find_polygon, jacobian_rank
+
+if TYPE_CHECKING:  # each handler imports the layers it runs when it runs
+    from .chambers import ChamberSignature
+    from .cohomology import PairVerdict
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -134,6 +128,8 @@ def _read_records(
     every accepted line, one subset scan each, and an error line for every
     rejected one: not UTF-8 before its comment, unparsable, nongeneric, or
     with an n other than the first accepted line's."""
+    from .chambers import chamber_signature
+
     vectors, signatures, rejected = [], [], []
     try:
         with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
@@ -165,6 +161,8 @@ def _read_records(
 
 
 def _cmd_betti(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    from .cohomology import betti_table, special_tag
+
     if args.json:
         return _cmd_ring(args, out, err)
     d = _require_d(args)
@@ -188,6 +186,8 @@ def _cmd_betti(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
 
 def _cmd_ring(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    from .cohomology import betti_table, ring_presentation
+
     d = _require_d(args)
     lv = parse_length_vector(args.l).ordered()
     table = betti_table(lv, d)
@@ -226,6 +226,8 @@ def _verdict_line(verdict: PairVerdict) -> str:
 
 
 def _cmd_compare(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    from .cohomology import classify_pair
+
     d = _require_d(args)
     first = parse_length_vector(args.l)
     second = parse_length_vector(args.l2)
@@ -248,6 +250,8 @@ def _cmd_compare(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
 
 def _cmd_census(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    from .chambers import enumerate_chambers
+
     census = enumerate_chambers(args.n)
     if args.json:
         _emit_json(census.to_json_obj(), out)
@@ -263,6 +267,8 @@ def _cmd_census(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    from .morse import EmptySpaceCertificate, _lacunary, critical_data, find_polygon, jacobian_rank
+
     d = _require_d(args)
     if args.seed < 0:
         raise _UsageError(f"--seed must be non-negative, got {args.seed}")
@@ -321,6 +327,8 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
 
 def _cmd_classify_file(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    from .cohomology import signature_verdict
+
     d = _require_d(args)
     vectors, signatures, rejected = _read_records(args.file)
     if not vectors and not rejected:
@@ -437,14 +445,14 @@ def run(
 
 def main() -> None:
     code = run()
-    try:
-        sys.stdout.flush()
-    except OSError:
-        # run() has reported the failed write; as the signal module's docs
-        # advise for SIGPIPE, point stdout at devnull, so the interpreter's
-        # final flush neither prints nor changes the exit code
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    sys.exit(code)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:  # run() has reported a failed write of the output
+            pass
+    if sys.gettrace() or sys.getprofile():  # coverage, pdb, trace, cProfile
+        sys.exit(code)  # report at the normal exit
+    os._exit(code)  # every byte is written: skip the interpreter's teardown
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from helpers import length_vectors, oracle_classify_pair, oracle_top_excess
 from polygonspaces import (
     chamber_signature,
+    chambers,
     cli,
     cohomology,
     errors,
@@ -420,7 +421,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("extra", [(), ("--json",)])
     def test_failed_lacunary_check_is_a_fault(self, monkeypatch, extra):
-        monkeypatch.setattr(cli, "_lacunary", lambda records, d: False)
+        monkeypatch.setattr(morse, "_lacunary", lambda records, d: False)
         code, out, err = invoke("verify", "--d", "3", "--l", "1,2,2,2,4,4", *extra)
         assert (code, out) == (3, "")
         assert err == "fault: a Morse index disagrees with its exact Hessian inertia\n"
@@ -429,7 +430,7 @@ class TestVerify:
         def degenerate(lv, config):
             raise DegenerateConfiguration("a partial sum vanishes")
 
-        monkeypatch.setattr(cli, "jacobian_rank", degenerate)
+        monkeypatch.setattr(morse, "jacobian_rank", degenerate)
         code, _, err = invoke("verify", "--l", "1,1,1", "--d", "3")
         assert code == 3
         assert "limit" in err
@@ -680,7 +681,7 @@ class TestClassifyFileOracle:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(cli, "chamber_signature")
+        counted(chambers, "chamber_signature")
         counted(lengths, "subset_sums")
         lines = _seeded_lines(7, 4, 4)
         code, _, _ = invoke(
@@ -1105,6 +1106,100 @@ class TestExitClasses:
             proc.stdout.close()
             err = proc.stderr.read()
         assert (proc.returncode, err) == (3, b"limit: [Errno 32] Broken pipe\n")
+
+
+#: a spawned interpreter finds this checkout's package first
+_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+)}
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], capture_output=True, env=_ENV, timeout=300)
+
+
+#: prints the package's loaded submodules after ``cli.run(argv)``
+_LOADED_AFTER_RUN = """
+import io, sys
+from polygonspaces import cli
+try:
+    cli.run(sys.argv[1:], out=io.StringIO(), err=io.StringIO())
+except SystemExit:  # --version
+    pass
+print(*sorted(m for m in sys.modules if m.startswith("polygonspaces.")))
+"""
+_VECTOR = ("--d", "3", "--l", "1,2,2,2,4,4")
+_VECTOR_LAYERS = {"chambers", "cohomology", "exactlp"}
+#: argv -> the layers it loads besides cli, errors and lengths
+_CALL_LAYERS = {
+    ("--version",): set(),
+    ("census", "--n", "4"): {"chambers", "exactlp"},
+    ("verify", *_VECTOR): {"morse"},
+    ("betti", *_VECTOR): _VECTOR_LAYERS,
+    ("ring", *_VECTOR): _VECTOR_LAYERS,
+    ("compare", *_VECTOR, "--l2", "1,1,3,4,8,8"): _VECTOR_LAYERS,
+    ("classify-file", "--d", "3", "--file", "FILE"): _VECTOR_LAYERS,
+}
+
+
+class TestStartup:
+    def test_package_import_loads_no_layer(self):
+        import polygonspaces
+
+        assert set(polygonspaces.__all__) <= set(dir(polygonspaces))
+        proc = _python(
+            "-c",
+            "import sys, polygonspaces\n"
+            "names = dir(polygonspaces)\n"
+            "print(*sorted(m for m in sys.modules if m.startswith(('polygonspaces.', 'numpy'))))",
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"\n", b"")
+
+    @pytest.mark.parametrize("argv", _CALL_LAYERS, ids=lambda argv: argv[0])
+    def test_each_call_loads_only_its_layers(self, tmp_path, argv):
+        file = _write(tmp_path, ["1,2,2,2,4,4", "1,1,3,4,8,8"])
+        proc = _python("-c", _LOADED_AFTER_RUN, *[file if a == "FILE" else a for a in argv])
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.decode().splitlines()[-1].split()
+        layers = {"cli", "errors", "lengths", *_CALL_LAYERS[argv]}
+        assert loaded == sorted(f"polygonspaces.{m}" for m in layers)
+
+
+#: argv -> the exit code it ends with
+_EXIT_CASES = {
+    ("betti", *_VECTOR): 0,
+    ("betti", "--d", "3", "--l", "1,2,x"): 1,
+    ("verify", "--d", "3", "--l", "1,1,5"): 2,
+    ("verify", "--d", "3", "--l", "1e2200,1e2200,1"): 3,
+}
+
+
+class TestSpawnedExit:
+    @pytest.mark.parametrize("argv", _EXIT_CASES, ids=_EXIT_CASES.values())
+    def test_spawned_call_matches_run(self, argv):
+        code, out, err = invoke(*argv)
+        assert code == _EXIT_CASES[argv]
+        proc = _python("-m", "polygonspaces.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (code, out.encode(), err)
+
+    def test_large_output_arrives_whole_through_a_pipe(self):
+        rng = random.Random(20)
+        argv = ("ring", "--d", "3", "--json", "--l", ",".join(
+            str(rng.randint(1, 10**6)) for _ in range(20)
+        ))
+        code, out, err = invoke(*argv)
+        assert len(out) > 1_000_000
+        proc = _python("-m", "polygonspaces.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (code, out.encode(), err)
+
+    def test_profiler_prints_its_table(self):
+        # a profiler reports at the normal exit, which the CLI then takes
+        proc = _python("-m", "cProfile", "-m", "polygonspaces.cli", "census", "--n", "4")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        census = invoke("census", "--n", "4")[1]
+        out = proc.stdout.decode()
+        assert out.startswith(census)
+        assert "function calls" in out[len(census):]
 
 
 def _scaled(entries, scale) -> str:
