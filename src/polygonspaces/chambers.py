@@ -12,7 +12,7 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import (
 from .lengths import (
     LengthVector,
     check_enumeration_width,
+    excess,
     first_in_index_order,
     indices_of_mask,
     reject_median,
@@ -104,13 +105,20 @@ class ChamberSignature:
     @cached_property
     def walls(self) -> tuple[int, ...]:
         """The masks whose flip keeps the family closed: the maximal members,
-        then the minimal non-members, each ascending."""
-        member, width = self.bitmap, self.n - 1
-        maximal = member ^ (member & _below_a_member(member, width))
-        closed = _closed_below(member, width)
-        minimal = closed ^ (closed & member)
-        found = [np.flatnonzero(_unpack(bits, width)) for bits in (maximal, minimal)]
-        return tuple(np.concatenate(found).tolist())
+        then the minimal non-members, each ascending.
+
+        Complementing a mask reverses the dominance order, so the maximal
+        members are the complements of the minimal non-members of the dual
+        family, the masks whose complements are not members: its bitmap is
+        this one read backwards and inverted."""
+        width = self.n - 1
+        size = 1 << width
+        dual = int(f"{self.bitmap:0{size}b}"[::-1], 2) ^ ((1 << size) - 1)
+        found = []
+        for member in (dual, self.bitmap):
+            closed = _closed_below(member, width)
+            found.append(np.flatnonzero(_unpack(closed ^ (closed & member), width)))
+        return tuple((size - 1 - found[0][::-1]).tolist() + found[1].tolist())
 
     @cached_property
     def short_counts(self) -> tuple[int, ...]:
@@ -166,19 +174,6 @@ def _compare_families(a: ChamberSignature, b: ChamberSignature) -> ChamberCompar
 # realization and census
 
 
-def _index_masks(width: int) -> Iterator[tuple[int, int, int]]:
-    """(i, here, above) for i = width-1 down to 0, where here and above are
-    the bitmaps of the masks holding index bit i and index bit i+1.  Each
-    next here is the last XOR the last shifted down by 2^(i-1): that sets
-    bit m exactly when adding 2^(i-1) to m carries into bit i, that is,
-    when m holds bit i-1."""
-    size = 1 << width
-    above, here = 0, ((1 << size) - 1) ^ ((1 << (size >> 1)) - 1)
-    for i in range(width - 1, -1, -1):
-        yield i, here, above
-        above, here = here, here ^ (here >> (1 << i >> 1))
-
-
 def _closed_below(member: int, width: int) -> int:
     """Bit m set when every immediate predecessor of m is a member, for a
     bitmap over the masks of a width-element set.
@@ -186,28 +181,19 @@ def _closed_below(member: int, width: int) -> int:
     The immediate predecessors delete one index, or slide one index down
     into a free slot just below it; they generate the dominance order.
     Both moves at index bit i land on m - 2^i: deleting bit i, or sliding
-    bit i+1 down to a free bit i.
+    bit i+1 down to a free bit i.  With i running down, here and above are
+    the bitmaps of the masks holding index bit i and index bit i+1.  Each
+    next here is the last XOR the last shifted down by 2^(i-1): that sets
+    bit m exactly when adding 2^(i-1) to m carries into bit i, that is,
+    when m holds bit i-1.
     """
-    gaps = 0
-    for i, here, above in _index_masks(width):
+    size = 1 << width
+    gaps, above, here = 0, 0, ((1 << size) - 1) ^ ((1 << (size >> 1)) - 1)
+    for i in range(width - 1, -1, -1):
         moved = here | above
         gaps |= moved ^ (moved & (member << (1 << i)))
-    return ((1 << (1 << width)) - 1) ^ gaps
-
-
-def _below_a_member(member: int, width: int) -> int:
-    """Bit m set when some immediate successor of m is a member.
-
-    The immediate successors add one index, or slide one index up into a
-    free slot just above it.  Both moves at index bit i land on m + 2^i:
-    adding a free bit i, or sliding bit i up to a free bit i+1; an m
-    holding both bits has no such successor.
-    """
-    found = 0
-    for i, here, above in _index_masks(width):
-        shifted = member >> (1 << i)
-        found |= shifted ^ (shifted & here & above)
-    return found
+        above, here = here, here ^ (here >> (1 << i >> 1))
+    return ((1 << size) - 1) ^ gaps
 
 
 def _missing_predecessor(m: int, member: int) -> int:
@@ -244,18 +230,21 @@ def realize_signature(candidate: ChamberSignature) -> LengthVector | None:
         """l_J + l_n plus or minus the slack, for the subset J with mask m."""
         return [m >> i & 1 for i in range(width)] + [1, slack]
 
-    for m in candidate.walls:
-        if candidate.bitmap >> m & 1:
-            cons.append(exactlp.constraint(row_of(m, 1), exactlp.LESS_EQUAL, 1))
-        else:
-            cons.append(exactlp.constraint(row_of(m, -1), exactlp.GREATER_EQUAL, 1))
+    # side +1 on a member, below half perimeter; -1 on a non-member, above
+    sides = {m: 1 if candidate.bitmap >> m & 1 else -1 for m in candidate.walls}
+    for m, side in sides.items():
+        relation = exactlp.LESS_EQUAL if side > 0 else exactlp.GREATER_EQUAL
+        cons.append(exactlp.constraint(row_of(m, side), relation, 1))
 
     result = exactlp.maximize([0] * n + [1], cons)
     if result.status != exactlp.OPTIMAL or result.objective <= 0:
         return None
     vec = LengthVector.from_rationals(result.solution[:n])
-    # the LP certifies every strict inequality, so the round trip is exact
-    if chamber_signature(vec) != candidate:
+    # an ordered vector's short family is a dominance ideal, and two ideals
+    # whose walls fall on the same sides are equal: a vertex strictly on the
+    # candidate's side of each wall realizes the whole family, generically
+    top = 1 << width
+    if not vec.is_ordered or any(side * excess(vec, m | top) >= 0 for m, side in sides.items()):
         raise CertificateFailure(
             f"the LP solution {vec} does not realize the candidate signature"
         )

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from helpers import (
     oracle_top_excess,
     oracle_walls,
 )
-from polygonspaces import chambers, exactlp
+from polygonspaces import chambers, exactlp, lengths
 from polygonspaces import (
     ChamberSignature,
     LengthVector,
@@ -249,15 +250,18 @@ class TestRealize:
             assert chamber_signature(rep).is_empty_space
 
     def test_round_trip_mismatch_is_a_typed_error(self, monkeypatch):
-        # a signature check that disagrees with the LP must not pass silently,
-        # also under python -O
-        monkeypatch.setattr(
-            chambers,
-            "chamber_signature",
-            lambda lv: ChamberSignature.from_masks(lv.n, ()),
-        )
-        with pytest.raises(CertificateFailure):
-            realize_signature(ChamberSignature.from_masks(3, {0}))
+        # a vertex off the candidate's walls must not pass silently, also
+        # under python -O; the n = 3 family {()} has the walls () and {1}:
+        # (1, 1, 3) is off a wall, (2, 1, 1) unordered, (1, 1, 2) on a wall
+        for vertex in [(1, 1, 3), (2, 1, 1), (1, 1, 2)]:
+            solution = tuple(map(Fraction, vertex)) + (Fraction(1),)
+            monkeypatch.setattr(
+                exactlp,
+                "maximize",
+                lambda *a, x=solution: exactlp.LPResult(exactlp.OPTIMAL, Fraction(1), x),
+            )
+            with pytest.raises(CertificateFailure):
+                realize_signature(ChamberSignature.from_masks(3, {0}))
 
     def test_census_needs_the_empty_family(self, monkeypatch):
         monkeypatch.setattr(chambers, "realize_signature", lambda sig: None)
@@ -299,8 +303,11 @@ class TestCensus:
         # pins the representatives too, which follow the LP row order
         assert _census_digest(enumerate_chambers(n)) == _CENSUS_DIGESTS[n]
 
-    def test_round_trip_and_invariants(self):
-        census = enumerate_chambers(5)
+    @staticmethod
+    def _check_round_trip(n):
+        # the census certifies each chamber on its walls; the subset scan
+        # of every representative is the independent oracle
+        census = enumerate_chambers(n)
         seen = set()
         for sig, rep in census.chambers:
             assert rep.is_ordered
@@ -308,6 +315,27 @@ class TestCensus:
             assert chamber_signature(rep) == sig
             seen.add(sig)
         assert len(seen) == census.count
+
+    def test_round_trip_and_invariants(self):
+        for n in range(3, 8):
+            self._check_round_trip(n)
+
+    @pytest.mark.slow
+    def test_round_trip_and_invariants_n8(self):
+        self._check_round_trip(8)
+
+    def test_census_runs_no_scan(self, monkeypatch):
+        # each chamber is certified on its walls by integer sums, so the
+        # census makes no 2^(n-1) subset scan and builds no signature of a
+        # vector
+        calls = []
+        scan, signature = lengths.subset_sums, chambers.chamber_signature
+        monkeypatch.setattr(lengths, "subset_sums", lambda *a: calls.append(1) or scan(*a))
+        monkeypatch.setattr(
+            chambers, "chamber_signature", lambda *a: calls.append(2) or signature(*a)
+        )
+        assert enumerate_chambers(7).count == 135
+        assert calls == []
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_matches_brute_force(self, n):
@@ -345,19 +373,15 @@ class TestCensus:
 
     def test_walls_found_once_per_candidate(self, monkeypatch):
         # n = 7 runs 161 LPs, 135 of them feasible: each candidate costs one
-        # closure check, and its walls one more and one successor pass; each
-        # feasible round trip costs one more check; a chamber taken from the
-        # walk flips its cached walls
-        checks, passes = [], []
-        closed_below, below_a_member = chambers._closed_below, chambers._below_a_member
+        # closure check, and its walls two more, one on the family and one
+        # on its dual; a chamber taken from the walk flips its cached walls
+        checks = []
+        closed_below = chambers._closed_below
         monkeypatch.setattr(
             chambers, "_closed_below", lambda *a: checks.append(1) or closed_below(*a)
         )
-        monkeypatch.setattr(
-            chambers, "_below_a_member", lambda *a: passes.append(1) or below_a_member(*a)
-        )
         assert enumerate_chambers(7).count == 135
-        assert (len(checks), len(passes)) == (2 * 161 + 135, 161)
+        assert len(checks) == 3 * 161
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_walk_is_breadth_first(self, monkeypatch, n):
@@ -439,16 +463,12 @@ def _as_array(bits: int, width: int) -> np.ndarray:
 
 
 def _check_against_oracle(member: np.ndarray) -> None:
-    """The packed closure check and successor pass agree with the boolean
-    oracle on any family, and the walls on a closed one."""
+    """The packed closure check agrees with the boolean oracle on any
+    family, and the walls on a closed one."""
     width = member.size.bit_length() - 1
     bits = int.from_bytes(np.packbits(member, bitorder="little").tobytes(), "little")
     closed = oracle_closed_below(member)
-    # the successors of m are the complements of the predecessors of its
-    # complement, so read the oracle on the reversed complement
-    below = ~oracle_closed_below(~member[::-1])[::-1]
     assert np.array_equal(_as_array(chambers._closed_below(bits, width), width), closed)
-    assert np.array_equal(_as_array(chambers._below_a_member(bits, width), width), below)
     if width >= 2 and not (member & ~closed).any():
         assert ChamberSignature(width + 1, bits).walls == oracle_walls(member)
 

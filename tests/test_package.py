@@ -137,6 +137,19 @@ def test_one_hessian_certificate():
     assert not _calls(ast.parse("top_excess(lv)").body[0].value, "excess")
 
 
+def test_census_certificate_runs_no_scan():
+    # realize_signature certifies its LP vertex on the candidate's walls by
+    # integer sums; the subset scan and the chamber_signature round trip
+    # are the test oracles of the census
+    for name in ("chamber_signature", "top_excess"):
+        assert "chambers.realize_signature" not in _owners(lambda node: _calls(node, name))
+    round_trip = ast.parse("if chamber_signature(vec) != candidate:\n    raise CertificateFailure")
+    assert any(_calls(node, "chamber_signature") for node in ast.walk(round_trip))
+    for form in ("top_excess(vec)", "lengths.top_excess(vec)"):
+        assert _calls(ast.parse(form).body[0].value, "top_excess"), form
+    assert not _calls(ast.parse("excess(vec, m)").body[0].value, "top_excess")
+
+
 def _names(node: ast.AST, names) -> bool:
     """A string constant that is exactly one of ``names``."""
     return isinstance(node, ast.Constant) and node.value in names
