@@ -25,23 +25,18 @@ from .errors import (
 )
 from .lengths import (
     LengthVector,
+    _pack,
     check_enumeration_width,
     excess,
     first_in_index_order,
     indices_of_mask,
     reject_median,
     require_ordered,
-    subset_rank,
     subset_sizes,
     top_excess,
 )
 
 CENSUS_MAX_N = 8
-
-
-def _pack(member: np.ndarray) -> int:
-    """The bitmap whose bit m is member[m]."""
-    return int.from_bytes(np.packbits(member, bitorder="little").tobytes(), "little")
 
 
 def _unpack(bits: int, width: int) -> np.ndarray:
@@ -127,10 +122,8 @@ class ChamberSignature:
         return tuple(np.bincount(sizes, minlength=self.n).tolist())
 
     def family_indices(self) -> list[list[int]]:
-        """The members as index lists, in index-tuple order."""
-        masks = np.flatnonzero(_unpack(self.bitmap, self.n - 1))
-        ordered = masks[subset_rank(self.n - 1)[masks].argsort()]
-        return [list(indices_of_mask(m)) for m in ordered.tolist()]
+        """The members as index lists, in index-tuple order: sorted as tuples."""
+        return [list(ix) for ix in sorted(map(indices_of_mask, self.masks()))]
 
 
 class ChamberComparison(NamedTuple):

@@ -87,20 +87,15 @@ def betti_table(lv: LengthVector, d: int) -> BettiTable:
     require_dimension(d)
     a, b = short_median_counts(lv)
     n = lv.n
-
-    def av(k: int) -> int:
-        return a[k] if 0 <= k < n else 0
-
-    def bv(k: int) -> int:
-        return b[k] if 0 <= k < n else 0
-
+    # the one index out of range the loops reach is -1, and a[-1] = b[-1] = 0
+    # there: the whole set, the only one with n elements, is always long
     dims: dict[int, int] = {}
     for k in range(n - 1):
-        v = av(k) + bv(k) + av(k - 1) + bv(k - 1)
+        v = a[k] + b[k] + a[k - 1] + b[k - 1]
         if v:
             dims[(d - 1) * k] = v
     for k in range(1, n):
-        v = av(n - k - 2) + av(n - k - 1)
+        v = a[n - k - 2] + a[n - k - 1]
         if v:
             dims[(d - 1) * k - 1] = v
     note = None if not any(b) else "nongeneric: the space may be singular"

@@ -98,11 +98,11 @@ def subset_sizes(width: int) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=1)
 def subset_rank(width: int) -> np.ndarray:
     """Read-only int32 table: entry ``mask`` is the subset's position in
     index-tuple order, the order of ``indices_of_mask`` tuples, so that
-    (1, 2) < (1, 2, 5) < (1, 3) < (2,).
+    (1, 2) < (1, 2, 5) < (1, 3) < (2,).  Built afresh for each call: only
+    the whole-array sorts read it, once each.
 
     That order is a preorder walk: S = {s_1 < ... < s_k} comes after its
     k prefixes and after every subtree of a lower branch.  With R the mask
@@ -112,10 +112,15 @@ def subset_rank(width: int) -> np.ndarray:
     """
     backwards = _doubling([1 << (width - 1 - i) for i in range(width)], np.int32)
     table = (1 << width) - backwards - (backwards & -backwards)
-    table += subset_sizes(width)  # into int32: int8 plus 2^width would overflow
+    table += _doubling((1,) * width, np.int32)  # the sizes k
     table[0] = 0
     table.setflags(write=False)
     return table
+
+
+def _pack(member: np.ndarray) -> int:
+    """The bitmap whose bit m is member[m]."""
+    return int.from_bytes(np.packbits(member, bitorder="little").tobytes(), "little")
 
 
 @functools.lru_cache(maxsize=1)
@@ -370,10 +375,9 @@ def top_excess(lv: LengthVector) -> np.ndarray:
 def reject_median(lv: LengthVector, exc: np.ndarray) -> None:
     """Raise NotGeneric naming the first median subset containing n in
     index-tuple order (none is nested in another, so n keeps the order)."""
-    medians = np.flatnonzero(exc == 0)
-    if medians.size:
-        first = medians[subset_rank(lv.n - 1)[medians].argmin()]
-        mask = int(first) | 1 << (lv.n - 1)
+    medians = exc == 0
+    if medians.any():
+        mask = first_in_index_order(_pack(medians), lv.n - 1) | 1 << (lv.n - 1)
         raise NotGeneric(
             f"{shown_vector(lv.entries)} has the median subset {indices_of_mask(mask)}"
         )

@@ -24,6 +24,7 @@ from polygonspaces import (
     LengthVector,
     chamber_signature,
     enumerate_chambers,
+    indices_of_mask,
     is_generic,
     mask_from_indices,
     parse_length_vector,
@@ -218,6 +219,17 @@ class TestComparison:
             differ = np.flatnonzero(chambers._unpack(first.bitmap ^ second.bitmap, n - 1))
             want = int(differ[rank[differ].argmin()]) | 1 << (n - 1)
             assert chambers._compare_families(first, second).witness == want
+
+    @pytest.mark.parametrize("width", range(2, 11))
+    def test_family_order_is_the_rank_order(self, width):
+        # the sorted index tuples against the argsort of the subset_rank table
+        rnd = random.Random(width)
+        rank = subset_rank(width)
+        for _ in range(20):
+            fam = downward_closure(width + 1, [rnd.randrange(1 << width) for _ in range(3)])
+            masks = np.array(sorted(fam), dtype=np.int64)
+            want = [list(indices_of_mask(m)) for m in masks[rank[masks].argsort()].tolist()]
+            assert ChamberSignature.from_masks(width + 1, fam).family_indices() == want
 
     def test_nonempty_vs_empty_witness(self):
         verdict = same_chamber_up_to_permutation(

@@ -380,7 +380,7 @@ class TestVerify:
     @staticmethod
     def _peak_per_record(n, *extra):
         """tracemalloc's peak over an in-process verify of (3, 5, ..., 2n+1),
-        per critical record, after a warm-up call has built the tables."""
+        per critical record, after a warm-up call has imported the layers."""
         sink = SimpleNamespace(write=lambda text: None, flush=lambda: None)
         argv = ["verify", "--d", "3", "--l", ",".join(map(str, range(3, 2 * n + 2, 2))), *extra]
         assert run(argv, out=sink, err=io.StringIO()) == 0

@@ -194,6 +194,15 @@ class TestRingPresentation:
         assert pres.pruned == (5,)
         assert not pres.is_zero_ring
 
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_generators_in_index_tuple_order(self, n):
+        # the rank-table argsort against a sort of the index tuples themselves
+        rnd = random.Random(n)
+        for high in (3, 40, 10**6):
+            lv = LengthVector(tuple(sorted(rnd.randint(1, high) for _ in range(n))))
+            gens = [indices_of_mask(m) for m in ring_presentation(lv, 3).minimal_generators]
+            assert gens == sorted(gens)
+
     def test_zero_ring(self):
         pres = ring_presentation(parse_length_vector("1,1,3"), 3)
         assert pres.is_zero_ring

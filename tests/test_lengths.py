@@ -22,6 +22,7 @@ from polygonspaces import (
 from polygonspaces.errors import (
     EntryNotPositive,
     MalformedNumber,
+    NotGeneric,
     OutOfRange,
     TooFewEntries,
 )
@@ -30,6 +31,7 @@ from polygonspaces.lengths import (
     MAX_SHOWN_VECTOR,
     exact_str,
     first_in_index_order,
+    reject_median,
     shown_vector,
     subset_rank,
     subset_sizes,
@@ -372,6 +374,25 @@ class TestGenericity:
         wide = LengthVector((1,) * 25 + (2,))
         assert wide.total % 2 == 1
         assert is_generic(wide)
+
+
+class TestRejectMedian:
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_names_the_rank_argmin(self, n):
+        # the descent on the median bitmap against the subset_rank table
+        rnd = random.Random(n)
+        checked = 0
+        while checked < 10:
+            lv = LengthVector(tuple(rnd.randint(1, 6) for _ in range(n)))
+            exc = top_excess(lv)
+            medians = np.flatnonzero(exc == 0)
+            if not medians.size:
+                continue
+            first = int(medians[subset_rank(n - 1)[medians].argmin()]) | 1 << (n - 1)
+            with pytest.raises(NotGeneric) as info:
+                reject_median(lv, exc)
+            assert str(info.value).endswith(f" has the median subset {indices_of_mask(first)}")
+            checked += 1
 
 
 class TestLongSubsetStream:

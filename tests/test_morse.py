@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import random
 import tracemalloc
@@ -378,7 +379,6 @@ class TestCriticalData:
 
     def test_retained_bytes_per_record(self):
         # a record holds its subset, value, index and a shared inertia tuple
-        critical_data(FIFTEEN_GON, 3)  # first call fills the rank table's cache
         tracemalloc.start()
         try:
             recs = critical_data(FIFTEEN_GON, 3)
@@ -386,6 +386,20 @@ class TestCriticalData:
         finally:
             tracemalloc.stop()
         assert retained / len(recs) <= 200
+
+    def test_nothing_outlives_the_records(self):
+        # no 2^n rank or popcount table stays behind once the records go;
+        # a call at another width first, so none of width 15 is held already
+        critical_data(parse_length_vector("1,2,2,2,4,4"), 3)
+        tracemalloc.start()
+        try:
+            recs = critical_data(FIFTEEN_GON, 3)
+            del recs
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 2**15
 
     def test_energy_at_aligned_configuration_matches(self):
         lv = parse_length_vector("1,2,2,2,4,4")

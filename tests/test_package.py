@@ -43,7 +43,8 @@ def _sorts_by_mask_key(node: ast.AST) -> bool:
 
 def test_index_tuple_order_comes_from_the_rank_table():
     # lengths.subset_rank and first_in_index_order, which walk one preorder,
-    # are the sources of the order; a key call per mask is another, slower one
+    # and a sort of the printed index tuples themselves are the sources of
+    # the order; a key call per mask is another, slower one
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SOURCE.glob("*.py"))
@@ -179,6 +180,15 @@ def test_one_subset_scan_kernel():
     for form in ("subset_sums(e, t)", "lengths.subset_sums(e, t)"):
         assert _calls(ast.parse(form).body[0].value, "subset_sums"), form
     assert not _calls(ast.parse("subset_sizes(3)").body[0].value, "subset_sums")
+
+
+def test_two_whole_array_sorts_build_the_rank_table():
+    # the 2^n rank table is built for each call and dropped with it; the
+    # census sorts index tuples and the first median comes from the descent
+    assert _owners(lambda node: _calls(node, "subset_rank")) == [
+        "cohomology.ring_presentation",
+        "morse.critical_data",
+    ]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
